@@ -4,12 +4,14 @@
 //   2. naive loop-nest convolution vs the im2col+GEMM layer,
 //   3. end-to-end training wall time of the Linear architecture with
 //      faithful pre-GEMM layer implementations vs the shipped layers,
-//      plus the real ml::fit wall time for reference.
+//      plus the real ml::fit wall time for reference,
+//   4. Sequential::forward vs the compiled plan for every zoo model's nets.
 //
 // Writes BENCH_ml.json (override with --out=PATH). `--smoke` shrinks
 // iteration counts so the binary doubles as a ctest smoke test
 // (`ctest -L bench`). Set AUTOLEARN_THREADS to pin the worker count the
 // JSON records.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -419,52 +421,67 @@ util::Json bench_end_to_end(bool smoke) {
 // --- interpreted vs compiled forward --------------------------------------
 
 util::Json bench_compiled_plan(bool smoke) {
-  // Steady-state predict_batch at the serving batch size: the interpreted
-  // per-layer walk (tensor allocation per layer per batch) vs the compiled
-  // arena program (zero allocation, fused epilogues). Same model object,
-  // bitwise-identical outputs (ctest -L plan); only wall time may differ.
+  // Forward cost of every net of each zoo model at the serving batch size:
+  // Sequential::forward(train=false) (tensor allocation per layer per
+  // batch) vs the compiled arena program predict_batch runs (zero
+  // allocation, fused epilogues), on the same input tensors. Outputs are
+  // bitwise-identical (ctest -L plan); only wall time may differ. Frame
+  // staging and decode are left out on both sides.
   const std::size_t batch = 32;
   const int reps = smoke ? 3 : 200;
   util::Json out = util::Json::array();
   for (const ml::ModelType type : ml::all_model_types()) {
     ml::ModelConfig cfg;
     const auto model = ml::make_model(type, cfg);
+    const std::vector<ml::Sequential*> nets = model->mutable_nets();
     util::Rng rng(17);
-    std::vector<ml::Sample> samples;
-    samples.reserve(batch);
-    for (std::size_t i = 0; i < batch; ++i) {
-      ml::Sample s;
+    std::vector<ml::Sample> samples(batch);
+    for (ml::Sample& s : samples) {
       for (std::size_t f = 0; f < cfg.seq_len; ++f) {
-        camera::Image img(cfg.img_w, cfg.img_h);
-        for (float& px : img.pixels()) {
-          px = static_cast<float>(rng.uniform(0.0, 1.0));
-        }
-        s.frames.push_back(std::move(img));
+        s.frames.emplace_back(cfg.img_w, cfg.img_h);
       }
-      for (std::size_t h = 0; h < cfg.history_len; ++h) {
-        s.history.push_back(static_cast<float>(rng.uniform(-1.0, 1.0)));
-        s.history.push_back(static_cast<float>(rng.uniform(0.0, 1.0)));
-      }
-      samples.push_back(std::move(s));
+      s.history.assign(2 * cfg.history_len, 0.0f);
     }
     std::vector<ml::Prediction> pred(batch);
+    model->predict_batch(samples.data(), batch, pred.data());  // compile
+    ml::CompiledModel& plan = *model->plan();
 
-    auto time_path = [&] {
-      model->predict_batch(samples.data(), batch, pred.data());  // warm-up
+    // One input per net, at the rows the plan runs it with.
+    std::vector<Tensor> inputs;
+    for (std::size_t i = 0; i < nets.size(); ++i) {
+      const ml::CompiledNet& net = plan.net(i);
+      std::vector<std::size_t> shape{net.max_rows()};
+      shape.insert(shape.end(), net.in_shape().begin(), net.in_shape().end());
+      Tensor x(shape);
+      for (std::size_t k = 0; k < x.size(); ++k) {
+        x[k] = static_cast<float>(rng.uniform(-1.0, 1.0));
+      }
+      inputs.push_back(std::move(x));
+    }
+
+    auto best_of = [&](auto&& forward) {
+      forward();  // warm-up
       double best = 1e30;
       for (int r = 0; r < reps; ++r) {
         const double t0 = now_seconds();
-        model->predict_batch(samples.data(), batch, pred.data());
+        forward();
         best = std::min(best, now_seconds() - t0);
       }
       return best;
     };
-
-    model->detach_plan();
-    const double interp_s = time_path();
-    model->attach_plan(batch);
-    const double plan_s = time_path();
-    model->detach_plan();
+    const double interp_s = best_of([&] {
+      for (std::size_t i = 0; i < nets.size(); ++i) {
+        nets[i]->forward(inputs[i], /*train=*/false);
+      }
+    });
+    const double plan_s = best_of([&] {
+      for (std::size_t i = 0; i < nets.size(); ++i) {
+        ml::CompiledNet& net = plan.net(i);
+        std::copy(inputs[i].data(), inputs[i].data() + inputs[i].size(),
+                  net.input());
+        net.run(net.max_rows());
+      }
+    });
 
     util::Json row = util::Json::object();
     row.set("model", std::string(ml::to_string(type)));
@@ -473,7 +490,7 @@ util::Json bench_compiled_plan(bool smoke) {
     row.set("compiled_ms", plan_s * 1e3);
     row.set("speedup", interp_s / plan_s);
     out.push_back(std::move(row));
-    std::cout << "  plan " << ml::to_string(type) << ": interpreted "
+    std::cout << "  plan " << ml::to_string(type) << ": Sequential::forward "
               << interp_s * 1e3 << " ms, compiled " << plan_s * 1e3
               << " ms, speedup " << interp_s / plan_s << "x\n";
   }

@@ -105,8 +105,7 @@ util::Json bench_wall_clock(bool smoke) {
 
 // --- 2: simulated fleet throughput vs batch cap ----------------------------
 
-serve::ServeReport run_fleet(std::size_t batch_cap, bool smoke,
-                             bool compile_plans = true) {
+serve::ServeReport run_fleet(std::size_t batch_cap, bool smoke) {
   util::EventQueue queue;
   serve::ModelRegistry registry;
   ml::ModelConfig cfg;
@@ -115,7 +114,6 @@ serve::ServeReport run_fleet(std::size_t batch_cap, bool smoke,
                    "bench");
 
   serve::FleetOptions opt;
-  opt.compile_plans = compile_plans;
   opt.cars = 16;
   // ~80k req/s offered: saturates the cap-1 worker (a V100 is launch-bound
   // at ~18k calls/s on this model) while cap-32 keeps up.
@@ -150,35 +148,6 @@ util::Json fleet_row(std::size_t cap, bool smoke) {
             << " req/s, mean batch " << r.mean_batch() << ", queued p99 "
             << r.queued_quantile_s(0.99) << " s\n";
   return row;
-}
-
-// --- 3: interpreted vs compiled serving host --------------------------------
-
-util::Json bench_compiled_serving(bool smoke) {
-  // Same deterministic workload with plans off vs on. The simulated
-  // report is identical either way (ctest -L plan pins that); what the
-  // compiled path buys is host CPU time — every dispatched batch runs the
-  // arena step program instead of the per-layer tensor walk.
-  const int reps = smoke ? 1 : 3;
-  const auto time_run = [&](bool plans) {
-    double best = 1e30;
-    for (int r = 0; r < reps; ++r) {
-      const double t0 = now_seconds();
-      run_fleet(32, smoke, plans);
-      best = std::min(best, now_seconds() - t0);
-    }
-    return best;
-  };
-  const double interp_s = time_run(false);
-  const double plan_s = time_run(true);
-  util::Json out = util::Json::object();
-  out.set("workload", "conv3d fleet, batch cap 32");
-  out.set("interpreted_host_s", interp_s);
-  out.set("compiled_host_s", plan_s);
-  out.set("speedup", interp_s / plan_s);
-  std::cout << "  host wall-clock interpreted " << interp_s << " s, compiled "
-            << plan_s << " s, speedup " << interp_s / plan_s << "x\n";
-  return out;
 }
 
 int run(int argc, char** argv) {
@@ -221,9 +190,6 @@ int run(int argc, char** argv) {
   doc.set("fleet_sim", std::move(sim));
   std::cout << "  dynamic batching speedup (cap 32 vs cap 1): "
             << (cap1_rps > 0.0 ? cap32_rps / cap1_rps : 0.0) << "x\n";
-
-  std::cout << "interpreted vs compiled serving host:\n";
-  doc.set("compiled_serving", bench_compiled_serving(smoke));
 
   std::ofstream f(out_path);
   if (!f) {

@@ -137,7 +137,7 @@ void FedOptions::validate() const {
     throw std::invalid_argument(
         "fed: delta_container/state_container/ckpt_key must be non-empty");
   }
-  if (canary_gate) canary.validate();
+  if (canary_gate) serve::require_valid(canary);
 }
 
 Aggregator::Aggregator(util::EventQueue& queue,
@@ -310,7 +310,10 @@ void Aggregator::collect_and_cutoff() {
     throw std::logic_error(
         "fed: bootstrap-publish a model (publish_all) before run()");
   }
-  expected_params_ = param_count(*snapshot->model);
+  // num_parameters() counts the same parameters as param_count() without
+  // going through mutable_nets(), which would drop the served model's
+  // compiled plan every round.
+  expected_params_ = snapshot->model->num_parameters();
 
   record_ = RoundRecord{};
   record_.round = round_index_ + 1;

@@ -1,8 +1,10 @@
 #include "ml/driving_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "ml/conv.hpp"
 #include "ml/layers.hpp"
@@ -48,150 +50,53 @@ void DrivingModel::predict_batch(const Sample* obs, std::size_t n,
 
 namespace {
 
-std::vector<const Sample*> batch_ptrs(const Sample* obs, std::size_t n) {
-  std::vector<const Sample*> ptrs;
-  ptrs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) ptrs.push_back(obs + i);
-  return ptrs;
+/// Copies the last `t` frames of each of n samples into x, oldest first,
+/// as [n, t, H, W] row-major: the layout of [n*t, 1, H, W] (time folded
+/// into the batch for a shared encoder), of [n, 1, t, H, W] (time as the
+/// Conv3D depth axis) and, at t = 1, of [n, 1, H, W]. Every frame is
+/// checked against the model's geometry before it is copied, so a
+/// mis-sized camera can never write past the end of x.
+template <class SampleAt>
+void stage_frames(std::size_t n, SampleAt sample, std::size_t t,
+                  const ModelConfig& cfg, float* x) {
+  const std::size_t frame = cfg.img_h * cfg.img_w;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Sample& s = sample(i);
+    if (s.frames.size() < t) {
+      throw std::invalid_argument("sample: needs " + std::to_string(t) +
+                                  " frame(s), has " +
+                                  std::to_string(s.frames.size()));
+    }
+    for (std::size_t j = 0; j < t; ++j) {
+      const camera::Image& img = s.frames[s.frames.size() - t + j];
+      if (img.height() != cfg.img_h || img.width() != cfg.img_w) {
+        throw std::invalid_argument("sample: frame size mismatch");
+      }
+      std::copy(img.pixels().begin(), img.pixels().end(),
+                x + (i * t + j) * frame);
+    }
+  }
 }
 
-/// Copies the last frame of each sample into an [N, 1, H, W] tensor.
+/// stage_frames into a fresh tensor for the training and eval forwards:
+/// [n*t, 1, H, W], or [n, 1, t, H, W] with `depth` set.
 Tensor frames_tensor(const std::vector<const Sample*>& batch,
-                     std::size_t img_h, std::size_t img_w) {
-  Tensor x({batch.size(), 1, img_h, img_w});
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Sample& s = *batch[i];
-    if (s.frames.empty()) throw std::invalid_argument("sample: no frames");
-    const camera::Image& img = s.frames.back();
-    if (img.height() != img_h || img.width() != img_w) {
-      throw std::invalid_argument("sample: frame size mismatch");
-    }
-    std::copy(img.pixels().begin(), img.pixels().end(),
-              x.data() + i * img_h * img_w);
-  }
+                     const ModelConfig& cfg, std::size_t t = 1,
+                     bool depth = false) {
+  const std::size_t n = batch.size();
+  Tensor x(depth ? std::vector<std::size_t>{n, 1, t, cfg.img_h, cfg.img_w}
+                 : std::vector<std::size_t>{n * t, 1, cfg.img_h, cfg.img_w});
+  stage_frames(
+      n, [&](std::size_t i) -> const Sample& { return *batch[i]; }, t, cfg,
+      x.data());
   return x;
 }
 
-/// Copies the last `t` frames of each sample into [N*T, 1, H, W]
-/// (time folded into the batch for a shared encoder) keeping order
-/// oldest..newest per sample.
-Tensor frames_tensor_seq(const std::vector<const Sample*>& batch,
-                         std::size_t t, std::size_t img_h, std::size_t img_w) {
-  Tensor x({batch.size() * t, 1, img_h, img_w});
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Sample& s = *batch[i];
-    if (s.frames.size() < t) {
-      throw std::invalid_argument("sample: too few frames for sequence");
-    }
-    for (std::size_t j = 0; j < t; ++j) {
-      const camera::Image& img = s.frames[s.frames.size() - t + j];
-      if (img.height() != img_h || img.width() != img_w) {
-        throw std::invalid_argument("sample: frame size mismatch");
-      }
-      std::copy(img.pixels().begin(), img.pixels().end(),
-                x.data() + (i * t + j) * img_h * img_w);
-    }
-  }
-  return x;
-}
-
-/// Stacks the last `t` frames as the depth axis: [N, 1, T, H, W].
-Tensor frames_tensor_3d(const std::vector<const Sample*>& batch,
-                        std::size_t t, std::size_t img_h, std::size_t img_w) {
-  Tensor x({batch.size(), 1, t, img_h, img_w});
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Sample& s = *batch[i];
-    if (s.frames.size() < t) {
-      throw std::invalid_argument("sample: too few frames for 3d stack");
-    }
-    for (std::size_t j = 0; j < t; ++j) {
-      const camera::Image& img = s.frames[s.frames.size() - t + j];
-      std::copy(img.pixels().begin(), img.pixels().end(),
-                x.data() + (i * t + j) * img_h * img_w);
-    }
-  }
-  return x;
-}
-
-// Raw-pointer staging twins of the frames_tensor helpers above: identical
-// validation and copy order, but writing into a CompiledNet's arena input
-// slot instead of a freshly allocated Tensor. The plan hot path must not
-// allocate, and the bitwise oracle requires identical exception behavior.
-
-void stage_frames(const Sample* obs, std::size_t n, std::size_t img_h,
-                  std::size_t img_w, float* x) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const Sample& s = obs[i];
-    if (s.frames.empty()) throw std::invalid_argument("sample: no frames");
-    const camera::Image& img = s.frames.back();
-    if (img.height() != img_h || img.width() != img_w) {
-      throw std::invalid_argument("sample: frame size mismatch");
-    }
-    std::copy(img.pixels().begin(), img.pixels().end(),
-              x + i * img_h * img_w);
-  }
-}
-
-void stage_frames_seq(const Sample* obs, std::size_t n, std::size_t t,
-                      std::size_t img_h, std::size_t img_w, float* x) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const Sample& s = obs[i];
-    if (s.frames.size() < t) {
-      throw std::invalid_argument("sample: too few frames for sequence");
-    }
-    for (std::size_t j = 0; j < t; ++j) {
-      const camera::Image& img = s.frames[s.frames.size() - t + j];
-      if (img.height() != img_h || img.width() != img_w) {
-        throw std::invalid_argument("sample: frame size mismatch");
-      }
-      std::copy(img.pixels().begin(), img.pixels().end(),
-                x + (i * t + j) * img_h * img_w);
-    }
-  }
-}
-
-void stage_frames_3d(const Sample* obs, std::size_t n, std::size_t t,
-                     std::size_t img_h, std::size_t img_w, float* x) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const Sample& s = obs[i];
-    if (s.frames.size() < t) {
-      throw std::invalid_argument("sample: too few frames for 3d stack");
-    }
-    for (std::size_t j = 0; j < t; ++j) {
-      const camera::Image& img = s.frames[s.frames.size() - t + j];
-      std::copy(img.pixels().begin(), img.pixels().end(),
-                x + (i * t + j) * img_h * img_w);
-    }
-  }
-}
-
-/// Standard [steering, throttle] regression decode, identical clamps to
-/// the interpreted paths.
+/// Standard [steering, throttle] regression decode.
 void decode_regression(const float* y, std::size_t n, Prediction* out) {
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = Prediction{std::clamp<double>(y[i * 2 + 0], -1, 1),
                         std::clamp<double>(y[i * 2 + 1], 0, 1)};
-  }
-}
-
-/// softmax_row (ml/loss.cpp) replicated onto preallocated scratch: float
-/// max, float exp values, double denominator accumulation, float(v/denom)
-/// — the exact same arithmetic, so the argmax picks the same bin even in
-/// near-tie cases.
-void softmax_into(const float* row, std::size_t begin, std::size_t end,
-                  float* out) {
-  const std::size_t classes = end - begin;
-  float maxv = row[begin];
-  for (std::size_t c = 1; c < classes; ++c) {
-    maxv = std::max(maxv, row[begin + c]);
-  }
-  double denom = 0;
-  for (std::size_t c = 0; c < classes; ++c) {
-    out[c] = std::exp(row[begin + c] - maxv);
-    denom += out[c];
-  }
-  for (std::size_t c = 0; c < classes; ++c) {
-    out[c] = static_cast<float>(out[c] / denom);
   }
 }
 
@@ -237,7 +142,8 @@ double from_bin(std::size_t bin, double lo, double hi, std::size_t bins) {
 
 // ---------------------------------------------------------------------------
 
-/// Shared plumbing: a Sequential net + Adam and (de)serialization.
+/// Shared plumbing: a Sequential net + Adam, (de)serialization, and the
+/// compiled forward every prediction runs through.
 class NetModel : public DrivingModel {
  public:
   explicit NetModel(const ModelConfig& cfg)
@@ -251,10 +157,15 @@ class NetModel : public DrivingModel {
     return p;
   }
 
-  /// Every zoo model must provide the real batched forward (the inherited
-  /// fallback loop would recurse through predict).
+  /// The one forward path: fit the plan to n, then the model's run_plan
+  /// stages the batch, executes the plan and decodes.
   void predict_batch(const Sample* obs, std::size_t n,
-                     Prediction* out) override = 0;
+                     Prediction* out) final {
+    if (n == 0) return;
+    run_plan(compiled(n), obs, n, out);
+  }
+
+  CompiledModel* plan() final { return &compiled(1); }
 
   std::size_t num_parameters() override {
     std::size_t n = 0;
@@ -264,13 +175,18 @@ class NetModel : public DrivingModel {
   std::uint64_t flops_per_sample() const override {
     return net_.flops_per_sample();
   }
-  std::vector<Sequential*> mutable_nets() override { return nets(); }
+  /// The caller may swap layers or rewrite parameters through these, so
+  /// the plan (which holds raw layer and parameter pointers) is dropped.
+  std::vector<Sequential*> mutable_nets() override {
+    plan_.reset();
+    return nets();
+  }
   void save(std::ostream& os) override {
     for (Sequential* s : nets()) s->save_params(os);
   }
   void load(std::istream& is) override {
+    plan_.reset();
     for (Sequential* s : nets()) s->load_params(is);
-    reattach_plan();
   }
   void save_full(std::ostream& os) override {
     for (Sequential* s : nets()) s->save_params(os);
@@ -279,6 +195,7 @@ class NetModel : public DrivingModel {
     util::write_rng_state(os, rng_.state());
   }
   void load_full(std::istream& is) override {
+    plan_.reset();
     for (Sequential* s : nets()) s->load_params(is);
     for (Sequential* s : nets()) s->load_state(is);
     opt_.load_state(is);
@@ -288,44 +205,24 @@ class NetModel : public DrivingModel {
                            "DrivingModel: truncated RNG state");
     }
     rng_.set_state(st);
-    reattach_plan();
   }
-
-  /// Compiles every net through the model's build_plan hook. Idempotent
-  /// for an unchanged cap — replicated registries publish one shared
-  /// model to many replicas and must not recompile per replica.
-  bool attach_plan(std::size_t max_batch) final {
-    if (plan_ && plan_->max_batch() == max_batch) return true;
-    plan_.reset();
-    auto plan = std::make_unique<CompiledModel>(max_batch);
-    build_plan(*plan, max_batch);
-    plan_ = std::move(plan);
-    return true;
-  }
-  void detach_plan() final { plan_.reset(); }
-  CompiledModel* plan() final { return plan_.get(); }
 
  protected:
-  /// Adds this model's nets to the plan (and sizes any decode scratch).
-  /// The CompiledNet pointers the model keeps from add_net stay valid for
-  /// the plan's lifetime and are only dereferenced under a plan_ check.
+  /// Adds this model's nets to the plan, in nets() order, for batches up
+  /// to `max_batch`.
   virtual void build_plan(CompiledModel& plan, std::size_t max_batch) = 0;
 
-  /// True when a batch of n should take the compiled path.
-  bool use_plan(std::size_t n) const {
-    return plan_ != nullptr && n <= plan_->max_batch();
-  }
+  /// Stages obs[0..n) into the plan's inputs, runs it and decodes out.
+  virtual void run_plan(CompiledModel& plan, const Sample* obs,
+                        std::size_t n, Prediction* out) = 0;
 
-  /// Parameter loads re-seat tensor storage, which invalidates the
-  /// parameter pointers a plan resolved at compile time — rebuild.
-  void reattach_plan() {
-    if (!plan_) return;
-    const std::size_t max_batch = plan_->max_batch();
-    plan_.reset();
-    attach_plan(max_batch);
+  /// Copies the last t frames of obs[0..n) into a plan input slot.
+  void stage(const Sample* obs, std::size_t n, std::size_t t,
+             float* x) const {
+    stage_frames(
+        n, [obs](std::size_t i) -> const Sample& { return obs[i]; }, t, cfg_,
+        x);
   }
-
-  std::unique_ptr<CompiledModel> plan_;
 
   /// Every Sequential the model owns, in parameter order. The memory/rnn
   /// models add their head here, which hoists all (de)serialization and
@@ -336,6 +233,23 @@ class NetModel : public DrivingModel {
   util::Rng rng_;
   Sequential net_;
   Adam opt_;
+
+ private:
+  /// The plan, compiled on first use and recompiled at bit_ceil(n) when a
+  /// batch outgrows its cap. Adam steps update parameters in place, so a
+  /// plan stays valid across training; load and mutable_nets drop it.
+  CompiledModel& compiled(std::size_t n) {
+    if (!plan_ || n > plan_->max_batch()) {
+      const std::size_t cap = std::bit_ceil(n);
+      plan_.reset();  // free the old arena before sizing the new one
+      auto plan = std::make_unique<CompiledModel>(cap);
+      build_plan(*plan, cap);
+      plan_ = std::move(plan);
+    }
+    return *plan_;
+  }
+
+  std::unique_ptr<CompiledModel> plan_;
 };
 
 // --- linear ----------------------------------------------------------------
@@ -353,27 +267,8 @@ class LinearModel : public NetModel {
 
   ModelType type() const override { return ModelType::Linear; }
 
-  void predict_batch(const Sample* obs, std::size_t n,
-                     Prediction* out) override {
-    if (n == 0) return;
-    if (use_plan(n)) {
-      stage_frames(obs, n, cfg_.img_h, cfg_.img_w, net_plan_->input());
-      decode_regression(net_plan_->run(n), n, out);
-      plan_->record_exec(n);
-      return;
-    }
-    const Tensor y = net_.forward(
-        frames_tensor(batch_ptrs(obs, n), cfg_.img_h, cfg_.img_w),
-        /*train=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = Prediction{std::clamp<double>(y.at(i, 0), -1, 1),
-                          std::clamp<double>(y.at(i, 1), 0, 1)};
-    }
-  }
-
   double train_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch, cfg_.img_h, cfg_.img_w);
-    const Tensor pred = net_.forward(x, /*train=*/true);
+    const Tensor pred = net_.forward(frames_tensor(batch, cfg_), true);
     auto [loss, grad] = mse_loss(pred, targets_tensor(batch));
     net_.backward(grad);
     opt_.step(net_.params());
@@ -381,25 +276,29 @@ class LinearModel : public NetModel {
   }
 
   double eval_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch, cfg_.img_h, cfg_.img_w);
-    const Tensor pred = net_.forward(x, /*train=*/false);
+    const Tensor pred = net_.forward(frames_tensor(batch, cfg_), false);
     return mse_loss(pred, targets_tensor(batch)).first;
   }
 
  protected:
   void build_plan(CompiledModel& plan, std::size_t max_batch) override {
-    net_plan_ = &plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w}, max_batch);
+    plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w}, max_batch);
   }
 
- private:
-  CompiledNet* net_plan_ = nullptr;
+  void run_plan(CompiledModel& plan, const Sample* obs, std::size_t n,
+                Prediction* out) override {
+    CompiledNet& net = plan.net(0);
+    stage(obs, n, 1, net.input());
+    decode_regression(net.run(n), n, out);
+  }
 };
 
 // --- categorical -------------------------------------------------------------
 
 class CategoricalModel : public NetModel {
  public:
-  explicit CategoricalModel(const ModelConfig& cfg) : NetModel(cfg) {
+  explicit CategoricalModel(const ModelConfig& cfg)
+      : NetModel(cfg), ps_(cfg.steering_bins), pt_(cfg.throttle_bins) {
     add_encoder(net_, rng_);
     const std::size_t f = encoder_features(cfg.img_h, cfg.img_w);
     net_.add<Dense>(f, 64, rng_);
@@ -410,48 +309,8 @@ class CategoricalModel : public NetModel {
 
   ModelType type() const override { return ModelType::Categorical; }
 
-  void predict_batch(const Sample* obs, std::size_t n,
-                     Prediction* out) override {
-    if (n == 0) return;
-    if (use_plan(n)) {
-      stage_frames(obs, n, cfg_.img_h, cfg_.img_w, net_plan_->input());
-      const float* logits = net_plan_->run(n);
-      const std::size_t stride = cfg_.steering_bins + cfg_.throttle_bins;
-      for (std::size_t i = 0; i < n; ++i) {
-        const float* row = logits + i * stride;
-        softmax_into(row, 0, cfg_.steering_bins, plan_ps_.data());
-        softmax_into(row, cfg_.steering_bins, stride, plan_pt_.data());
-        const std::size_t sb = static_cast<std::size_t>(
-            std::max_element(plan_ps_.begin(), plan_ps_.end()) -
-            plan_ps_.begin());
-        const std::size_t tb = static_cast<std::size_t>(
-            std::max_element(plan_pt_.begin(), plan_pt_.end()) -
-            plan_pt_.begin());
-        out[i] = Prediction{from_bin(sb, -1, 1, cfg_.steering_bins),
-                            from_bin(tb, 0, 1, cfg_.throttle_bins)};
-      }
-      plan_->record_exec(n);
-      return;
-    }
-    const Tensor logits = net_.forward(
-        frames_tensor(batch_ptrs(obs, n), cfg_.img_h, cfg_.img_w),
-        /*train=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto ps = softmax_row(logits, i, 0, cfg_.steering_bins);
-      const auto pt = softmax_row(logits, i, cfg_.steering_bins,
-                                  cfg_.steering_bins + cfg_.throttle_bins);
-      const std::size_t sb = static_cast<std::size_t>(
-          std::max_element(ps.begin(), ps.end()) - ps.begin());
-      const std::size_t tb = static_cast<std::size_t>(
-          std::max_element(pt.begin(), pt.end()) - pt.begin());
-      out[i] = Prediction{from_bin(sb, -1, 1, cfg_.steering_bins),
-                          from_bin(tb, 0, 1, cfg_.throttle_bins)};
-    }
-  }
-
   double train_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch, cfg_.img_h, cfg_.img_w);
-    const Tensor logits = net_.forward(x, /*train=*/true);
+    const Tensor logits = net_.forward(frames_tensor(batch, cfg_), true);
     Tensor grad(logits.shape());
     const double loss = heads_loss(logits, batch, grad);
     net_.backward(grad);
@@ -460,22 +319,37 @@ class CategoricalModel : public NetModel {
   }
 
   double eval_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch, cfg_.img_h, cfg_.img_w);
-    const Tensor logits = net_.forward(x, /*train=*/false);
+    const Tensor logits = net_.forward(frames_tensor(batch, cfg_), false);
     Tensor grad(logits.shape());
     return heads_loss(logits, batch, grad);
   }
 
  protected:
   void build_plan(CompiledModel& plan, std::size_t max_batch) override {
-    net_plan_ = &plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w}, max_batch);
-    plan_ps_.assign(cfg_.steering_bins, 0.0f);
-    plan_pt_.assign(cfg_.throttle_bins, 0.0f);
+    plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w}, max_batch);
+  }
+
+  void run_plan(CompiledModel& plan, const Sample* obs, std::size_t n,
+                Prediction* out) override {
+    CompiledNet& net = plan.net(0);
+    stage(obs, n, 1, net.input());
+    const float* logits = net.run(n);
+    const std::size_t stride = cfg_.steering_bins + cfg_.throttle_bins;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float* row = logits + i * stride;
+      softmax_into(row, 0, cfg_.steering_bins, ps_.data());
+      softmax_into(row, cfg_.steering_bins, stride, pt_.data());
+      const std::size_t sb = static_cast<std::size_t>(
+          std::max_element(ps_.begin(), ps_.end()) - ps_.begin());
+      const std::size_t tb = static_cast<std::size_t>(
+          std::max_element(pt_.begin(), pt_.end()) - pt_.begin());
+      out[i] = Prediction{from_bin(sb, -1, 1, cfg_.steering_bins),
+                          from_bin(tb, 0, 1, cfg_.throttle_bins)};
+    }
   }
 
  private:
-  CompiledNet* net_plan_ = nullptr;
-  std::vector<float> plan_ps_, plan_pt_;  // per-head softmax scratch
+  std::vector<float> ps_, pt_;  // per-head softmax scratch
 
   double heads_loss(const Tensor& logits,
                     const std::vector<const Sample*>& batch, Tensor& grad) {
@@ -516,29 +390,8 @@ class InferredModel : public NetModel {
 
   ModelType type() const override { return ModelType::Inferred; }
 
-  void predict_batch(const Sample* obs, std::size_t n,
-                     Prediction* out) override {
-    if (n == 0) return;
-    if (use_plan(n)) {
-      stage_frames(obs, n, cfg_.img_h, cfg_.img_w, net_plan_->input());
-      const float* y = net_plan_->run(n);  // one steering column
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = decode_steer(y[i]);
-      }
-      plan_->record_exec(n);
-      return;
-    }
-    const Tensor y = net_.forward(
-        frames_tensor(batch_ptrs(obs, n), cfg_.img_h, cfg_.img_w),
-        /*train=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = decode_steer(y.at(i, 0));
-    }
-  }
-
   double train_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch, cfg_.img_h, cfg_.img_w);
-    const Tensor pred = net_.forward(x, /*train=*/true);
+    const Tensor pred = net_.forward(frames_tensor(batch, cfg_), true);
     auto [loss, grad] = mse_loss(pred, steer_targets(batch));
     net_.backward(grad);
     opt_.step(net_.params());
@@ -546,19 +399,24 @@ class InferredModel : public NetModel {
   }
 
   double eval_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch, cfg_.img_h, cfg_.img_w);
-    const Tensor pred = net_.forward(x, /*train=*/false);
+    const Tensor pred = net_.forward(frames_tensor(batch, cfg_), false);
     return mse_loss(pred, steer_targets(batch)).first;
   }
 
  protected:
   void build_plan(CompiledModel& plan, std::size_t max_batch) override {
-    net_plan_ = &plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w}, max_batch);
+    plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w}, max_batch);
+  }
+
+  void run_plan(CompiledModel& plan, const Sample* obs, std::size_t n,
+                Prediction* out) override {
+    CompiledNet& net = plan.net(0);
+    stage(obs, n, 1, net.input());
+    const float* y = net.run(n);  // one steering column
+    for (std::size_t i = 0; i < n; ++i) out[i] = decode_steer(y[i]);
   }
 
  private:
-  CompiledNet* net_plan_ = nullptr;
-
   Prediction decode_steer(float raw) const {
     const double steer = std::clamp<double>(raw, -1, 1);
     // Throttle policy: full speed with the wheel straight, easing off as
@@ -595,37 +453,6 @@ class MemoryModel : public NetModel {
   ModelType type() const override { return ModelType::Memory; }
   std::size_t history_len() const override { return cfg_.history_len; }
 
-  void predict_batch(const Sample* obs, std::size_t n,
-                     Prediction* out) override {
-    if (n == 0) return;
-    if (use_plan(n)) {
-      stage_frames(obs, n, cfg_.img_h, cfg_.img_w, enc_plan_->input());
-      const float* feats = enc_plan_->run(n);
-      float* concat = head_plan_->input();
-      const std::size_t row = features_ + hist_;
-      for (std::size_t i = 0; i < n; ++i) {
-        std::copy(feats + i * features_, feats + (i + 1) * features_,
-                  concat + i * row);
-        const Sample& s = obs[i];
-        if (s.history.size() < hist_) {
-          throw std::invalid_argument("memory model: history too short");
-        }
-        for (std::size_t k = 0; k < hist_; ++k) {
-          concat[i * row + features_ + k] =
-              s.history[s.history.size() - hist_ + k];
-        }
-      }
-      decode_regression(head_plan_->run(n), n, out);
-      plan_->record_exec(n);
-      return;
-    }
-    const Tensor y = forward(batch_ptrs(obs, n), /*train=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = Prediction{std::clamp<double>(y.at(i, 0), -1, 1),
-                          std::clamp<double>(y.at(i, 1), 0, 1)};
-    }
-  }
-
   double train_batch(const std::vector<const Sample*>& batch) override {
     const Tensor pred = forward(batch, /*train=*/true);
     auto [loss, grad] = mse_loss(pred, targets_tensor(batch));
@@ -659,32 +486,48 @@ class MemoryModel : public NetModel {
   std::vector<Sequential*> nets() override { return {&net_, &head_}; }
 
   void build_plan(CompiledModel& plan, std::size_t max_batch) override {
-    enc_plan_ = &plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w}, max_batch);
-    head_plan_ = &plan.add_net(head_, {features_ + hist_}, max_batch);
+    plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w}, max_batch);
+    plan.add_net(head_, {features_ + hist_}, max_batch);
+  }
+
+  void run_plan(CompiledModel& plan, const Sample* obs, std::size_t n,
+                Prediction* out) override {
+    CompiledNet& enc = plan.net(0);
+    CompiledNet& head = plan.net(1);
+    stage(obs, n, 1, enc.input());
+    concat_history(
+        enc.run(n), n, [obs](std::size_t i) -> const Sample& { return obs[i]; },
+        head.input());
+    decode_regression(head.run(n), n, out);
   }
 
  private:
-  CompiledNet* enc_plan_ = nullptr;
-  CompiledNet* head_plan_ = nullptr;
-
   Tensor forward(const std::vector<const Sample*>& batch, bool train) {
-    const Tensor feats =
-        net_.forward(frames_tensor(batch, cfg_.img_h, cfg_.img_w), train);
-    const std::size_t n = batch.size();
-    Tensor concat({n, features_ + hist_});
+    const Tensor feats = net_.forward(frames_tensor(batch, cfg_), train);
+    Tensor concat({batch.size(), features_ + hist_});
+    concat_history(
+        feats.data(), batch.size(),
+        [&](std::size_t i) -> const Sample& { return *batch[i]; },
+        concat.data());
+    return head_.forward(concat, train);
+  }
+
+  /// Writes n head-input rows: the encoder features, then the sample's
+  /// last hist_ history values.
+  template <class SampleAt>
+  void concat_history(const float* feats, std::size_t n, SampleAt sample,
+                      float* concat) const {
+    const std::size_t row = features_ + hist_;
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t k = 0; k < features_; ++k) {
-        concat.at(i, k) = feats.at(i, k);
-      }
-      const Sample& s = *batch[i];
+      const Sample& s = sample(i);
       if (s.history.size() < hist_) {
         throw std::invalid_argument("memory model: history too short");
       }
-      for (std::size_t k = 0; k < hist_; ++k) {
-        concat.at(i, features_ + k) = s.history[s.history.size() - hist_ + k];
-      }
+      std::copy(feats + i * features_, feats + (i + 1) * features_,
+                concat + i * row);
+      std::copy(s.history.end() - static_cast<std::ptrdiff_t>(hist_),
+                s.history.end(), concat + i * row + features_);
     }
-    return head_.forward(concat, train);
   }
 
   Sequential head_;
@@ -699,33 +542,12 @@ class RnnModel : public NetModel {
   explicit RnnModel(const ModelConfig& cfg) : NetModel(cfg) {
     add_encoder(net_, rng_);  // shared per-frame encoder (time folded in N)
     features_ = encoder_features(cfg.img_h, cfg.img_w);
-    lstm_ = &head_.add<LSTM>(features_, 32, rng_);
+    head_.add<LSTM>(features_, 32, rng_);
     head_.add<Dense>(32, 2, rng_);
   }
 
   ModelType type() const override { return ModelType::Rnn; }
   std::size_t seq_len() const override { return cfg_.seq_len; }
-
-  void predict_batch(const Sample* obs, std::size_t n,
-                     Prediction* out) override {
-    if (n == 0) return;
-    if (use_plan(n)) {
-      stage_frames_seq(obs, n, cfg_.seq_len, cfg_.img_h, cfg_.img_w,
-                       enc_plan_->input());
-      // Encoder output [n*T, F] is [n, T, F] in memory: the head consumes
-      // it in place through the external-input overload (the interpreted
-      // path's reshape is likewise copy-free).
-      const float* feats = enc_plan_->run(n * cfg_.seq_len);
-      decode_regression(head_plan_->run(feats, n), n, out);
-      plan_->record_exec(n);
-      return;
-    }
-    const Tensor y = forward(batch_ptrs(obs, n), /*train=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = Prediction{std::clamp<double>(y.at(i, 0), -1, 1),
-                          std::clamp<double>(y.at(i, 1), 0, 1)};
-    }
-  }
 
   double train_batch(const std::vector<const Sample*>& batch) override {
     const Tensor pred = forward(batch, /*train=*/true);
@@ -754,26 +576,29 @@ class RnnModel : public NetModel {
   void build_plan(CompiledModel& plan, std::size_t max_batch) override {
     // Time is folded into the encoder's batch axis, so its row cap is
     // max_batch * seq_len; the LSTM head runs at max_batch rows.
-    enc_plan_ = &plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w},
-                              max_batch * cfg_.seq_len);
-    head_plan_ =
-        &plan.add_net(head_, {cfg_.seq_len, features_}, max_batch);
+    plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w}, max_batch * cfg_.seq_len);
+    plan.add_net(head_, {cfg_.seq_len, features_}, max_batch);
+  }
+
+  void run_plan(CompiledModel& plan, const Sample* obs, std::size_t n,
+                Prediction* out) override {
+    CompiledNet& enc = plan.net(0);
+    stage(obs, n, cfg_.seq_len, enc.input());
+    // Encoder output [n*T, F] is [n, T, F] in memory: the head consumes
+    // it in place through the external-input overload.
+    const float* feats = enc.run(n * cfg_.seq_len);
+    decode_regression(plan.net(1).run(feats, n), n, out);
   }
 
  private:
-  CompiledNet* enc_plan_ = nullptr;
-  CompiledNet* head_plan_ = nullptr;
-
   Tensor forward(const std::vector<const Sample*>& batch, bool train) {
-    const Tensor x =
-        frames_tensor_seq(batch, cfg_.seq_len, cfg_.img_h, cfg_.img_w);
-    const Tensor feats = net_.forward(x, train);  // [N*T, F]
+    const Tensor feats =
+        net_.forward(frames_tensor(batch, cfg_, cfg_.seq_len), train);
     return head_.forward(
         feats.reshaped({batch.size(), cfg_.seq_len, features_}), train);
   }
 
   Sequential head_;
-  LSTM* lstm_ = nullptr;
   std::size_t features_ = 0;
 };
 
@@ -801,30 +626,8 @@ class Conv3dModel : public NetModel {
   ModelType type() const override { return ModelType::Conv3d; }
   std::size_t seq_len() const override { return cfg_.seq_len; }
 
-  void predict_batch(const Sample* obs, std::size_t n,
-                     Prediction* out) override {
-    if (n == 0) return;
-    if (use_plan(n)) {
-      stage_frames_3d(obs, n, cfg_.seq_len, cfg_.img_h, cfg_.img_w,
-                      net_plan_->input());
-      decode_regression(net_plan_->run(n), n, out);
-      plan_->record_exec(n);
-      return;
-    }
-    const Tensor y = net_.forward(
-        frames_tensor_3d(batch_ptrs(obs, n), cfg_.seq_len, cfg_.img_h,
-                         cfg_.img_w),
-        /*train=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = Prediction{std::clamp<double>(y.at(i, 0), -1, 1),
-                          std::clamp<double>(y.at(i, 1), 0, 1)};
-    }
-  }
-
   double train_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x =
-        frames_tensor_3d(batch, cfg_.seq_len, cfg_.img_h, cfg_.img_w);
-    const Tensor pred = net_.forward(x, /*train=*/true);
+    const Tensor pred = net_.forward(stack(batch), /*train=*/true);
     auto [loss, grad] = mse_loss(pred, targets_tensor(batch));
     net_.backward(grad);
     opt_.step(net_.params());
@@ -832,20 +635,27 @@ class Conv3dModel : public NetModel {
   }
 
   double eval_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x =
-        frames_tensor_3d(batch, cfg_.seq_len, cfg_.img_h, cfg_.img_w);
-    const Tensor pred = net_.forward(x, /*train=*/false);
+    const Tensor pred = net_.forward(stack(batch), /*train=*/false);
     return mse_loss(pred, targets_tensor(batch)).first;
   }
 
  protected:
   void build_plan(CompiledModel& plan, std::size_t max_batch) override {
-    net_plan_ = &plan.add_net(
-        net_, {1, cfg_.seq_len, cfg_.img_h, cfg_.img_w}, max_batch);
+    plan.add_net(net_, {1, cfg_.seq_len, cfg_.img_h, cfg_.img_w}, max_batch);
+  }
+
+  void run_plan(CompiledModel& plan, const Sample* obs, std::size_t n,
+                Prediction* out) override {
+    CompiledNet& net = plan.net(0);
+    stage(obs, n, cfg_.seq_len, net.input());
+    decode_regression(net.run(n), n, out);
   }
 
  private:
-  CompiledNet* net_plan_ = nullptr;
+  /// The last seq_len frames as the depth axis: [N, 1, T, H, W].
+  Tensor stack(const std::vector<const Sample*>& batch) const {
+    return frames_tensor(batch, cfg_, cfg_.seq_len, /*depth=*/true);
+  }
 };
 
 }  // namespace

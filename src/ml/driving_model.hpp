@@ -89,10 +89,12 @@ class DrivingModel {
   virtual Prediction predict(const Sample& obs) = 0;
 
   /// Batched inference: fills out[0..n) from obs[0..n). The zoo models
-  /// override this to run a single batched forward through the GEMM
-  /// backbone (one im2col + sgemm per layer instead of n), which is what
-  /// makes fleet serving amortize per-call cost; the base implementation
-  /// is a per-sample fallback loop for external subclasses.
+  /// run one batched forward through their compiled plan (one im2col +
+  /// sgemm per layer instead of n), which is what makes fleet serving
+  /// amortize per-call cost. The plan is compiled on first use, recompiled
+  /// at std::bit_ceil(n) when a batch outgrows it, and dropped by load,
+  /// load_full and mutable_nets. The base implementation is a per-sample
+  /// fallback loop for external subclasses.
   virtual void predict_batch(const Sample* obs, std::size_t n,
                              Prediction* out);
 
@@ -114,23 +116,16 @@ class DrivingModel {
   /// Forward-path precision; Fp32 unless wrapped by a quantized variant.
   virtual Precision precision() const { return Precision::Fp32; }
 
-  /// Compiles the forward path into a static-arena step program
-  /// (ml/plan.hpp) specialized for batches up to `max_batch`.
-  /// predict_batch then routes batches with n <= max_batch through the
-  /// plan — bit-identically to the interpreted path — and falls back to
-  /// the layer walk for larger ones. Idempotent when a plan with the same
-  /// cap is already attached; re-attaching after load() happens
-  /// automatically. Returns false when the model has no compiled path
-  /// (external subclasses); throws PlanError when compilation fails.
-  virtual bool attach_plan(std::size_t /*max_batch*/) { return false; }
-  virtual void detach_plan() {}
-  /// The attached plan, or nullptr.
+  /// The compiled forward (ml/plan.hpp) the zoo models run every
+  /// prediction through, compiling it first if no batch has yet; nullptr
+  /// for external subclasses, which have none.
   virtual CompiledModel* plan() { return nullptr; }
 
   /// The Sequential stacks predict_batch runs, exposed for post-training
   /// transforms: ml::quantize_model swaps Dense/Conv layers for int8
-  /// twins in place. The zoo models return their nets; external
-  /// subclasses keep the empty default and simply cannot be quantized.
+  /// twins in place. The zoo models return their nets and drop their plan
+  /// (it holds raw layer pointers); external subclasses keep the empty
+  /// default and simply cannot be quantized.
   virtual std::vector<Sequential*> mutable_nets() { return {}; }
 
   /// Full training-state snapshot: parameters PLUS optimizer slots, layer

@@ -186,8 +186,8 @@ void gemm_tile(bool trans_a, bool trans_b, std::size_t i0, std::size_t mt,
 }  // namespace
 
 void tune_interpreted_allocator() {
-  // The interpreted layer-by-layer forward/backward (training, and any
-  // model without an attached plan) allocates fresh per-batch tensors
+  // The interpreted layer-by-layer forward/backward (training and
+  // eval_batch) allocates fresh per-batch tensors
   // whose sizes sit just above glibc's default 128 KiB mmap threshold. An
   // mmap'd block is munmap'd on free, so the next batch's identically-
   // sized allocation gets a fresh zero-filled mapping and every pass over

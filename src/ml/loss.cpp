@@ -1,5 +1,6 @@
 #include "ml/loss.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -53,20 +54,27 @@ double softmax_xent_slice(const Tensor& logits, std::size_t begin,
   return loss * invn;
 }
 
-std::vector<float> softmax_row(const Tensor& logits, std::size_t row,
-                               std::size_t begin, std::size_t end) {
+void softmax_into(const float* row, std::size_t begin, std::size_t end,
+                  float* out) {
   const std::size_t classes = end - begin;
-  std::vector<float> out(classes);
-  float maxv = logits.at(row, begin);
+  float maxv = row[begin];
   for (std::size_t c = 1; c < classes; ++c) {
-    maxv = std::max(maxv, logits.at(row, begin + c));
+    maxv = std::max(maxv, row[begin + c]);
   }
   double denom = 0;
   for (std::size_t c = 0; c < classes; ++c) {
-    out[c] = std::exp(logits.at(row, begin + c) - maxv);
+    out[c] = std::exp(row[begin + c] - maxv);
     denom += out[c];
   }
-  for (auto& v : out) v = static_cast<float>(v / denom);
+  for (std::size_t c = 0; c < classes; ++c) {
+    out[c] = static_cast<float>(out[c] / denom);
+  }
+}
+
+std::vector<float> softmax_row(const Tensor& logits, std::size_t row,
+                               std::size_t begin, std::size_t end) {
+  std::vector<float> out(end - begin);
+  softmax_into(logits.data() + row * logits.dim(1), begin, end, out.data());
   return out;
 }
 

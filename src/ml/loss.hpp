@@ -23,7 +23,14 @@ double softmax_xent_slice(const Tensor& logits, std::size_t begin,
                           const std::vector<std::size_t>& targets,
                           Tensor& grad_accum);
 
-/// Softmax probabilities of a row slice (inference helper).
+/// Softmax probabilities of columns [begin, end) of one logits row into
+/// out[0, end - begin): float max and exponentials, a double denominator.
+/// The categorical decode picks its bins from these, so the arithmetic is
+/// kept in this one place.
+void softmax_into(const float* row, std::size_t begin, std::size_t end,
+                  float* out);
+
+/// softmax_into for row `row` of a [N, C] tensor, into a fresh vector.
 std::vector<float> softmax_row(const Tensor& logits, std::size_t row,
                                std::size_t begin, std::size_t end);
 

@@ -11,7 +11,6 @@
 #include "ml/lstm.hpp"
 #include "ml/quant.hpp"
 #include "ml/quant_layers.hpp"
-#include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace autolearn::ml {
@@ -32,16 +31,11 @@ std::size_t bytes_as_floats(std::size_t bytes) { return ceil_div(bytes, 4); }
 // Contexts for the allocation-free parallel regions. The runners are
 // capture-less lambdas (decay to function pointers) so the hot path never
 // touches std::function.
-struct Im2ColCtx {
-  const float* x;
-  float* col;
-  std::size_t c, h, w, k, stride, p, np, chw;
-};
-
-struct Vol2ColCtx {
+struct ColCtx {
   const float* x;
   float* col;
   std::size_t c, d, h, w, kd, k, sd, s, p, np, cdhw;
+  bool volumetric;  // vol2col (Conv3D) rather than im2col (Conv2D)
 };
 
 struct BiasScatterCtx {
@@ -74,32 +68,27 @@ const auto run_bias_scatter = +[](void* pv, std::size_t n0, std::size_t n1) {
   }
 };
 
-const auto run_im2col = +[](void* pv, std::size_t n0, std::size_t n1) {
-  const auto& c = *static_cast<const Im2ColCtx*>(pv);
+const auto run_cols = +[](void* pv, std::size_t n0, std::size_t n1) {
+  const auto& c = *static_cast<const ColCtx*>(pv);
   for (std::size_t i = n0; i < n1; ++i) {
-    im2col(c.x + i * c.chw, c.c, c.h, c.w, c.k, c.k, c.stride, c.stride,
-           c.col + i * c.p, c.np);
-  }
-};
-
-const auto run_vol2col = +[](void* pv, std::size_t n0, std::size_t n1) {
-  const auto& c = *static_cast<const Vol2ColCtx*>(pv);
-  for (std::size_t i = n0; i < n1; ++i) {
-    vol2col(c.x + i * c.cdhw, c.c, c.d, c.h, c.w, c.kd, c.k, c.k, c.sd, c.s,
-            c.s, c.col + i * c.p, c.np);
+    if (c.volumetric) {
+      vol2col(c.x + i * c.cdhw, c.c, c.d, c.h, c.w, c.kd, c.k, c.k, c.sd, c.s,
+              c.s, c.col + i * c.p, c.np);
+    } else {
+      im2col(c.x + i * c.cdhw, c.c, c.h, c.w, c.k, c.k, c.s, c.s,
+             c.col + i * c.p, c.np);
+    }
   }
 };
 
 enum class Op {
-  Conv2d,
-  Conv3d,
+  Conv,       // Conv2D / Conv3D: im2col or vol2col + sgemm + bias scatter
+  QuantConv,  // the int8 twins: the same, quantize + qgemm in between
   Dense,
   Lstm,
   Relu,   // standalone in-place (fused forms never reach here)
   Tanh,   // in-place
   QuantDense,
-  QuantConv2d,
-  QuantConv3d,
 };
 
 struct Step {
@@ -107,18 +96,19 @@ struct Step {
   std::size_t in = kNone, out = kNone;
   std::size_t scr0 = kNone, scr1 = kNone, scr2 = kNone;
   bool fuse_relu = false;
+  bool volumetric = false;  // conv: Conv3D geometry (else depth 1)
 
-  // Parameter pointers resolved at compile time (re-resolved by
-  // attach_plan after any load, which may re-seat tensor storage).
+  // Parameter pointers resolved at compile time. Optimizer steps write
+  // through them in place; the owning model drops its plan on any load.
   const float* w = nullptr;
   const float* w2 = nullptr;  // LSTM Wh
   const float* bias = nullptr;
   const QuantizedWeights* qw = nullptr;
   const ActQuant* xq = nullptr;
 
-  // Geometry (per-row / per-sample).
-  std::size_t ic = 0, oc = 0, k = 0, stride = 0, kd = 0, stride_d = 0;
-  std::size_t h = 0, w_dim = 0, d_dim = 0;
+  // Geometry (per-row / per-sample). A 2-D conv is a depth-1 volume.
+  std::size_t ic = 0, oc = 0, k = 0, stride = 0, kd = 1, stride_d = 1;
+  std::size_t h = 0, w_dim = 0, d_dim = 1;
   std::size_t p = 0, ckk = 0;       // conv: out positions, patch rows
   std::size_t in_f = 0, out_f = 0;  // dense/quantdense; lstm: D, H
   std::size_t t_len = 0;            // lstm
@@ -135,6 +125,7 @@ struct Value {
 
 struct CompiledNet::Impl {
   std::size_t max_rows = 0;
+  std::vector<std::size_t> in_shape;
   std::size_t in_elems = 0;   // per row
   std::size_t out_elems = 0;  // per row
   std::size_t out_value = 0;
@@ -197,72 +188,72 @@ void CompiledNet::Impl::compile(Sequential& net,
       return true;
     };
 
-    if (auto* conv = dynamic_cast<Conv2D*>(&layer)) {
-      if (shape.size() != 3 || shape[0] != conv->in_channels() ||
-          shape[1] < conv->kernel() || shape[2] < conv->kernel()) {
-        throw bad_shape("conv2d input mismatch");
-      }
-      const std::size_t h = shape[1], w = shape[2];
-      const std::size_t oh = Conv2D::out_dim(h, conv->kernel(), conv->stride());
-      const std::size_t ow = Conv2D::out_dim(w, conv->kernel(), conv->stride());
-      conv->prime_flops(h, w);
+    // One lowering for all four conv flavours: a Conv2D is a depth-1
+    // volume, and the int8 twins add a quantized-column scratch value.
+    const auto lower_conv = [&](auto& conv, Op op, const char* kind) {
+      constexpr bool volumetric = requires { conv.kernel_d(); };
       Step s{};
-      s.op = Op::Conv2d;
-      s.ic = conv->in_channels();
-      s.oc = conv->out_channels();
-      s.k = conv->kernel();
-      s.stride = conv->stride();
-      s.h = h;
-      s.w_dim = w;
-      s.p = oh * ow;
-      s.ckk = s.ic * s.k * s.k;
-      const auto params = conv->params();
-      s.w = params[0]->value.data();
-      s.bias = params[1]->value.data();
-      s.fuse_relu = fuse_next_relu();
-      s.in = cur;
-      values[cur].last_use = si;
-      s.scr0 = add_value(s.ckk * s.p, si, si);  // im2col patch cols
-      s.scr1 = add_value(s.oc * s.p, si, si);   // batched GEMM out
-      s.out = cur = add_value(s.oc * s.p, si, si);
-      shape = {s.oc, oh, ow};
-      steps.push_back(s);
-    } else if (auto* conv3 = dynamic_cast<Conv3D*>(&layer)) {
-      if (shape.size() != 4 || shape[0] != conv3->in_channels() ||
-          shape[1] < conv3->kernel_d() || shape[2] < conv3->kernel() ||
-          shape[3] < conv3->kernel()) {
-        throw bad_shape("conv3d input mismatch");
+      s.op = op;
+      s.volumetric = volumetric;
+      s.ic = conv.in_channels();
+      s.oc = conv.out_channels();
+      s.k = conv.kernel();
+      s.stride = conv.stride();
+      if constexpr (volumetric) {
+        s.kd = conv.kernel_d();
+        s.stride_d = conv.stride_d();
       }
-      const std::size_t d = shape[1], h = shape[2], w = shape[3];
-      const std::size_t od =
-          Conv2D::out_dim(d, conv3->kernel_d(), conv3->stride_d());
-      const std::size_t oh = Conv2D::out_dim(h, conv3->kernel(), conv3->stride());
-      const std::size_t ow = Conv2D::out_dim(w, conv3->kernel(), conv3->stride());
-      conv3->prime_flops(d, h, w);
-      Step s{};
-      s.op = Op::Conv3d;
-      s.ic = conv3->in_channels();
-      s.oc = conv3->out_channels();
-      s.kd = conv3->kernel_d();
-      s.k = conv3->kernel();
-      s.stride_d = conv3->stride_d();
-      s.stride = conv3->stride();
-      s.d_dim = d;
-      s.h = h;
-      s.w_dim = w;
+      const std::size_t rank = volumetric ? 4 : 3;
+      if (shape.size() != rank || shape[0] != s.ic ||
+          (volumetric && shape[1] < s.kd) || shape[rank - 2] < s.k ||
+          shape[rank - 1] < s.k) {
+        throw bad_shape(std::string(kind) + " input mismatch");
+      }
+      s.d_dim = volumetric ? shape[1] : 1;
+      s.h = shape[rank - 2];
+      s.w_dim = shape[rank - 1];
+      const std::size_t od = Conv2D::out_dim(s.d_dim, s.kd, s.stride_d);
+      const std::size_t oh = Conv2D::out_dim(s.h, s.k, s.stride);
+      const std::size_t ow = Conv2D::out_dim(s.w_dim, s.k, s.stride);
+      if constexpr (volumetric) {
+        conv.prime_flops(s.d_dim, s.h, s.w_dim);
+      } else {
+        conv.prime_flops(s.h, s.w_dim);
+      }
       s.p = od * oh * ow;
       s.ckk = s.ic * s.kd * s.k * s.k;
-      const auto params = conv3->params();
-      s.w = params[0]->value.data();
+      const auto params = conv.params();
+      if constexpr (requires { conv.quantized(); }) {
+        s.qw = &conv.quantized();
+        s.xq = &conv.input_quant();
+      } else {
+        s.w = params[0]->value.data();
+      }
       s.bias = params[1]->value.data();
       s.fuse_relu = fuse_next_relu();
       s.in = cur;
       values[cur].last_use = si;
-      s.scr0 = add_value(s.ckk * s.p, si, si);
-      s.scr1 = add_value(s.oc * s.p, si, si);
+      s.scr0 = add_value(s.ckk * s.p, si, si);  // im2col/vol2col patch cols
+      if (op == Op::QuantConv) {
+        s.scr1 = add_value(bytes_as_floats(s.ckk * s.p), si, si);  // q(col)
+        s.scr2 = add_value(s.oc * s.p, si, si);  // batched GEMM out
+      } else {
+        s.scr1 = add_value(s.oc * s.p, si, si);  // batched GEMM out
+      }
       s.out = cur = add_value(s.oc * s.p, si, si);
-      shape = {s.oc, od, oh, ow};
+      shape = volumetric ? std::vector<std::size_t>{s.oc, od, oh, ow}
+                         : std::vector<std::size_t>{s.oc, oh, ow};
       steps.push_back(s);
+    };
+
+    if (auto* conv = dynamic_cast<Conv2D*>(&layer)) {
+      lower_conv(*conv, Op::Conv, "conv2d");
+    } else if (auto* conv3 = dynamic_cast<Conv3D*>(&layer)) {
+      lower_conv(*conv3, Op::Conv, "conv3d");
+    } else if (auto* qconv = dynamic_cast<QuantConv2D*>(&layer)) {
+      lower_conv(*qconv, Op::QuantConv, "qconv2d");
+    } else if (auto* qconv3 = dynamic_cast<QuantConv3D*>(&layer)) {
+      lower_conv(*qconv3, Op::QuantConv, "qconv3d");
     } else if (auto* dense = dynamic_cast<Dense*>(&layer)) {
       if (elems(shape) != dense->in_features()) {
         throw bad_shape("dense input mismatch");
@@ -321,76 +312,6 @@ void CompiledNet::Impl::compile(Sequential& net,
       s.scr1 = add_value(s.out_f, si, si);                  // y^T
       s.out = cur = add_value(s.out_f, si, si);
       shape = {s.out_f};
-      steps.push_back(s);
-    } else if (auto* qconv = dynamic_cast<QuantConv2D*>(&layer)) {
-      if (shape.size() != 3 || shape[0] != qconv->in_channels() ||
-          shape[1] < qconv->kernel() || shape[2] < qconv->kernel()) {
-        throw bad_shape("qconv2d input mismatch");
-      }
-      const std::size_t h = shape[1], w = shape[2];
-      const std::size_t oh = Conv2D::out_dim(h, qconv->kernel(), qconv->stride());
-      const std::size_t ow = Conv2D::out_dim(w, qconv->kernel(), qconv->stride());
-      qconv->prime_flops(h, w);
-      Step s{};
-      s.op = Op::QuantConv2d;
-      s.ic = qconv->in_channels();
-      s.oc = qconv->out_channels();
-      s.k = qconv->kernel();
-      s.stride = qconv->stride();
-      s.h = h;
-      s.w_dim = w;
-      s.p = oh * ow;
-      s.ckk = s.ic * s.k * s.k;
-      s.qw = &qconv->quantized();
-      s.xq = &qconv->input_quant();
-      s.bias = qconv->params()[1]->value.data();
-      s.fuse_relu = fuse_next_relu();
-      s.in = cur;
-      values[cur].last_use = si;
-      s.scr0 = add_value(s.ckk * s.p, si, si);                  // float col
-      s.scr1 = add_value(bytes_as_floats(s.ckk * s.p), si, si); // q(col)
-      s.scr2 = add_value(s.oc * s.p, si, si);                   // GEMM out
-      s.out = cur = add_value(s.oc * s.p, si, si);
-      shape = {s.oc, oh, ow};
-      steps.push_back(s);
-    } else if (auto* qconv3 = dynamic_cast<QuantConv3D*>(&layer)) {
-      if (shape.size() != 4 || shape[0] != qconv3->in_channels() ||
-          shape[1] < qconv3->kernel_d() || shape[2] < qconv3->kernel() ||
-          shape[3] < qconv3->kernel()) {
-        throw bad_shape("qconv3d input mismatch");
-      }
-      const std::size_t d = shape[1], h = shape[2], w = shape[3];
-      const std::size_t od =
-          Conv2D::out_dim(d, qconv3->kernel_d(), qconv3->stride_d());
-      const std::size_t oh =
-          Conv2D::out_dim(h, qconv3->kernel(), qconv3->stride());
-      const std::size_t ow =
-          Conv2D::out_dim(w, qconv3->kernel(), qconv3->stride());
-      qconv3->prime_flops(d, h, w);
-      Step s{};
-      s.op = Op::QuantConv3d;
-      s.ic = qconv3->in_channels();
-      s.oc = qconv3->out_channels();
-      s.kd = qconv3->kernel_d();
-      s.k = qconv3->kernel();
-      s.stride_d = qconv3->stride_d();
-      s.stride = qconv3->stride();
-      s.d_dim = d;
-      s.h = h;
-      s.w_dim = w;
-      s.p = od * oh * ow;
-      s.ckk = s.ic * s.kd * s.k * s.k;
-      s.qw = &qconv3->quantized();
-      s.xq = &qconv3->input_quant();
-      s.bias = qconv3->params()[1]->value.data();
-      s.fuse_relu = fuse_next_relu();
-      s.in = cur;
-      values[cur].last_use = si;
-      s.scr0 = add_value(s.ckk * s.p, si, si);
-      s.scr1 = add_value(bytes_as_floats(s.ckk * s.p), si, si);
-      s.scr2 = add_value(s.oc * s.p, si, si);
-      s.out = cur = add_value(s.oc * s.p, si, si);
-      shape = {s.oc, od, oh, ow};
       steps.push_back(s);
     } else if (dynamic_cast<ReLU*>(&layer) != nullptr) {
       // Only reached when the producer was not fusable (e.g. after a
@@ -495,40 +416,25 @@ const float* CompiledNet::Impl::exec(const float* x, std::size_t rows) {
 
   for (const Step& s : steps) {
     switch (s.op) {
-      case Op::Conv2d: {
+      case Op::Conv:
+      case Op::QuantConv: {
         const std::size_t np = n * s.p;
         float* col = at(s.scr0);
-        Im2ColCtx ic{src_of(s.in), col,          s.ic, s.h,
-                     s.w_dim,      s.k,          s.stride, s.p,
-                     np,           s.ic * s.h * s.w_dim};
-        pool.parallel_for_chunks_raw(0, n, run_im2col, &ic);
-        float* yall = at(s.scr1);
-        sgemm(false, false, s.oc, np, s.ckk, 1.0f, s.w, s.ckk, col, np, 0.0f,
-              yall, np);
-        BiasScatterCtx bc{yall, at(s.out), s.bias, s.oc, s.p, np, s.fuse_relu};
-        pool.parallel_for_chunks_raw(0, n, run_bias_scatter, &bc);
-        break;
-      }
-      case Op::Conv3d: {
-        const std::size_t np = n * s.p;
-        float* col = at(s.scr0);
-        Vol2ColCtx vc{src_of(s.in),
-                      col,
-                      s.ic,
-                      s.d_dim,
-                      s.h,
-                      s.w_dim,
-                      s.kd,
-                      s.k,
-                      s.stride_d,
-                      s.stride,
-                      s.p,
-                      np,
-                      s.ic * s.d_dim * s.h * s.w_dim};
-        pool.parallel_for_chunks_raw(0, n, run_vol2col, &vc);
-        float* yall = at(s.scr1);
-        sgemm(false, false, s.oc, np, s.ckk, 1.0f, s.w, s.ckk, col, np, 0.0f,
-              yall, np);
+        ColCtx cc{src_of(s.in), col, s.ic, s.d_dim, s.h, s.w_dim, s.kd, s.k,
+                  s.stride_d, s.stride, s.p, np,
+                  s.ic * s.d_dim * s.h * s.w_dim, s.volumetric};
+        pool.parallel_for_chunks_raw(0, n, run_cols, &cc);
+        float* yall;
+        if (s.op == Op::QuantConv) {
+          auto* qcol = reinterpret_cast<std::uint8_t*>(at(s.scr1));
+          quantize_activations(col, s.ckk * np, *s.xq, qcol);
+          yall = at(s.scr2);
+          qgemm(*s.qw, qcol, np, *s.xq, yall, np);
+        } else {
+          yall = at(s.scr1);
+          sgemm(false, false, s.oc, np, s.ckk, 1.0f, s.w, s.ckk, col, np,
+                0.0f, yall, np);
+        }
         BiasScatterCtx bc{yall, at(s.out), s.bias, s.oc, s.p, np, s.fuse_relu};
         pool.parallel_for_chunks_raw(0, n, run_bias_scatter, &bc);
         break;
@@ -622,46 +528,6 @@ const float* CompiledNet::Impl::exec(const float* x, std::size_t rows) {
         }
         break;
       }
-      case Op::QuantConv2d: {
-        const std::size_t np = n * s.p;
-        float* col = at(s.scr0);
-        Im2ColCtx ic{src_of(s.in), col,          s.ic, s.h,
-                     s.w_dim,      s.k,          s.stride, s.p,
-                     np,           s.ic * s.h * s.w_dim};
-        pool.parallel_for_chunks_raw(0, n, run_im2col, &ic);
-        auto* qcol = reinterpret_cast<std::uint8_t*>(at(s.scr1));
-        quantize_activations(col, s.ckk * np, *s.xq, qcol);
-        float* yall = at(s.scr2);
-        qgemm(*s.qw, qcol, np, *s.xq, yall, np);
-        BiasScatterCtx bc{yall, at(s.out), s.bias, s.oc, s.p, np, s.fuse_relu};
-        pool.parallel_for_chunks_raw(0, n, run_bias_scatter, &bc);
-        break;
-      }
-      case Op::QuantConv3d: {
-        const std::size_t np = n * s.p;
-        float* col = at(s.scr0);
-        Vol2ColCtx vc{src_of(s.in),
-                      col,
-                      s.ic,
-                      s.d_dim,
-                      s.h,
-                      s.w_dim,
-                      s.kd,
-                      s.k,
-                      s.stride_d,
-                      s.stride,
-                      s.p,
-                      np,
-                      s.ic * s.d_dim * s.h * s.w_dim};
-        pool.parallel_for_chunks_raw(0, n, run_vol2col, &vc);
-        auto* qcol = reinterpret_cast<std::uint8_t*>(at(s.scr1));
-        quantize_activations(col, s.ckk * np, *s.xq, qcol);
-        float* yall = at(s.scr2);
-        qgemm(*s.qw, qcol, np, *s.xq, yall, np);
-        BiasScatterCtx bc{yall, at(s.out), s.bias, s.oc, s.p, np, s.fuse_relu};
-        pool.parallel_for_chunks_raw(0, n, run_bias_scatter, &bc);
-        break;
-      }
     }
   }
   return src_of(out_value);
@@ -675,6 +541,7 @@ CompiledNet::CompiledNet(Sequential& net,
     throw PlanError(PlanError::Code::BadBatch, "plan: max rows must be >= 1");
   }
   impl_->max_rows = max_rows;
+  impl_->in_shape = in_sample_shape;
   impl_->compile(net, in_sample_shape);
 }
 
@@ -682,6 +549,9 @@ CompiledNet::~CompiledNet() = default;
 
 float* CompiledNet::input() {
   return impl_->arena.data() + impl_->values[0].offset;
+}
+const std::vector<std::size_t>& CompiledNet::in_shape() const {
+  return impl_->in_shape;
 }
 std::size_t CompiledNet::in_row_elems() const { return impl_->in_elems; }
 std::size_t CompiledNet::out_row_elems() const { return impl_->out_elems; }
@@ -722,23 +592,6 @@ PlanStats CompiledModel::stats() const {
     total.fused_activations += s.fused_activations;
   }
   return total;
-}
-
-void CompiledModel::instrument(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    exec_batches_ = nullptr;
-    exec_rows_ = nullptr;
-    return;
-  }
-  exec_batches_ = &metrics->counter("serve.plan.exec.batches");
-  exec_rows_ = &metrics->counter("serve.plan.exec.rows");
-}
-
-void CompiledModel::record_exec(std::size_t rows) {
-  if (exec_batches_ != nullptr) {
-    exec_batches_->inc();
-    exec_rows_->inc(rows);
-  }
 }
 
 }  // namespace autolearn::ml

@@ -1,22 +1,23 @@
 // Graph-compiled forward path with a static arena memory plan.
 //
-// The interpreted predict path walks a Sequential layer by layer, with
-// every layer allocating its output Tensor (and often scratch) per batch.
-// CompiledNet does that walk ONCE: compile() lowers the layer list into a
-// flat step program (im2col + GEMM + fused bias/ReLU epilogues for the
-// conv stacks, gate GEMMs onto preallocated scratch for the LSTM, packed
-// int8 steps for the quantized twins), runs a liveness analysis over every
-// intermediate buffer, and first-fit assigns them into ONE float arena
-// sized for a fixed batch cap. Steady-state execution then performs zero
-// heap allocations: staging, GEMMs and epilogues all run inside the arena
-// through the ThreadPool's raw (allocation-free) dispatch.
+// Sequential::forward walks the layers one by one, every layer allocating
+// its output Tensor (and often scratch) per batch; training needs that.
+// Inference runs through CompiledNet, which does the walk ONCE: compile()
+// lowers the layer list into a flat step program (im2col + GEMM + fused
+// bias/ReLU epilogues for the conv stacks, gate GEMMs onto preallocated
+// scratch for the LSTM, packed int8 steps for the quantized twins), runs
+// a liveness analysis over every intermediate buffer, and first-fit
+// assigns them into ONE float arena sized for a fixed batch cap.
+// Steady-state execution then performs zero heap allocations: staging,
+// GEMMs and epilogues all run inside the arena through the ThreadPool's
+// raw (allocation-free) dispatch.
 //
 // Bitwise contract: a compiled step issues the exact kernel call sequence
 // (same sgemm/qgemm shapes, flags and leading dimensions, same epilogue
-// arithmetic, same reduction orders) as the interpreted layer it replaced,
-// so outputs are bit-identical to Sequential::forward for every batch
-// size up to the cap. ctest -L plan holds this as an oracle across the
-// whole model zoo, fp32 and int8.
+// arithmetic, same reduction orders) as the layer's own forward, so
+// outputs are bit-identical to Sequential::forward(train=false) for every
+// batch size up to the cap. ctest -L plan holds this as an oracle across
+// every net of the model zoo, fp32 and int8.
 #pragma once
 
 #include <cstddef>
@@ -26,11 +27,6 @@
 #include <vector>
 
 #include "ml/sequential.hpp"
-
-namespace autolearn::obs {
-class Counter;
-class MetricsRegistry;
-}  // namespace autolearn::obs
 
 namespace autolearn::ml {
 
@@ -55,7 +51,7 @@ class PlanError : public std::runtime_error {
 };
 
 /// Compile-time accounting, exposed for tests ("sharing beats the naive
-/// sum") and the serve gauges.
+/// sum") and the benches.
 struct PlanStats {
   std::size_t steps = 0;              // executable steps (no-ops dropped)
   std::size_t values = 0;             // liveness-tracked buffers
@@ -81,6 +77,8 @@ class CompiledNet {
   /// Staging buffer for the input, [max_rows, in_row_elems] row-major
   /// inside the arena. Callers write the batch here, then run(rows).
   float* input();
+  /// Per-row input shape the net was compiled for (in_sample_shape).
+  const std::vector<std::size_t>& in_shape() const;
   std::size_t in_row_elems() const;
   std::size_t out_row_elems() const;
   std::size_t max_rows() const;
@@ -102,8 +100,8 @@ class CompiledNet {
 };
 
 /// A model's full compiled forward: one CompiledNet per Sequential it
-/// owns, plus the batch cap the plan was specialized for and optional
-/// metrics plumbing. Built by DrivingModel::attach_plan.
+/// owns, plus the batch cap the plan was specialized for. Built by the
+/// zoo models on first use (DrivingModel::predict_batch).
 class CompiledModel {
  public:
   explicit CompiledModel(std::size_t max_batch);
@@ -114,23 +112,17 @@ class CompiledModel {
   CompiledNet& add_net(Sequential& net,
                        const std::vector<std::size_t>& in_sample_shape,
                        std::size_t max_rows);
+  /// The nets in add_net order.
+  std::size_t num_nets() const { return nets_.size(); }
+  CompiledNet& net(std::size_t i) { return *nets_.at(i); }
 
   std::size_t max_batch() const { return max_batch_; }
   /// Aggregate over every net.
   PlanStats stats() const;
 
-  /// Resolves metric handles once so record_exec never does a name lookup
-  /// (the registry's string lookup allocates; the hot path must not).
-  /// nullptr detaches.
-  void instrument(obs::MetricsRegistry* metrics);
-  /// Hot-path accounting: one batch of `rows` served through the plan.
-  void record_exec(std::size_t rows);
-
  private:
   std::size_t max_batch_;
   std::vector<std::unique_ptr<CompiledNet>> nets_;
-  obs::Counter* exec_batches_ = nullptr;
-  obs::Counter* exec_rows_ = nullptr;
 };
 
 }  // namespace autolearn::ml

@@ -151,12 +151,15 @@ std::unique_ptr<QuantizedModel> quantize_model(
     throw std::invalid_argument("quantize_model: nothing to quantize");
   }
 
-  // 2. Calibration passes: plain batched inference, observers recording.
+  // 2. Calibration passes: eval_batch runs Sequential::forward(train=false)
+  //    with the observers recording (the plan compiler rejects them).
   const std::size_t bs = std::max<std::size_t>(1, options.calibration_batch);
-  std::vector<Prediction> sink(bs);
+  std::vector<const Sample*> chunk;
   for (std::size_t at = 0; at < calibration.size(); at += bs) {
     const std::size_t n = std::min(bs, calibration.size() - at);
-    clone->predict_batch(calibration.data() + at, n, sink.data());
+    chunk.clear();
+    for (std::size_t i = 0; i < n; ++i) chunk.push_back(&calibration[at + i]);
+    clone->eval_batch(chunk);
   }
 
   // 3. Swap each observed site for its int8 twin.

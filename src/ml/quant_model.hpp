@@ -59,12 +59,8 @@ class QuantizedModel : public DrivingModel {
   void save(std::ostream& os) override { inner_->save(os); }
   void load(std::istream& is) override;
 
-  /// Plan compilation delegates to the layer-swapped inner model: the
-  /// int8 twins compile into packed-qgemm steps in the same arena program.
-  bool attach_plan(std::size_t max_batch) override {
-    return inner_->attach_plan(max_batch);
-  }
-  void detach_plan() override { inner_->detach_plan(); }
+  /// The layer-swapped inner model's plan: the int8 twins compile into
+  /// packed-qgemm steps in the same arena program.
   CompiledModel* plan() override { return inner_->plan(); }
 
   /// The layer-swapped model, exposed for introspection in tests.
@@ -83,10 +79,11 @@ class QuantizedModel : public DrivingModel {
 
 /// Builds an int8 QuantizedModel from a trained source model. `cfg` must
 /// be the config `src` was built with (the clone is reconstructed through
-/// make_model + save/load). Calibration runs predict_batch over the given
-/// samples with range observers attached, then every quantizable layer is
-/// replaced in place. Throws std::invalid_argument if `calibration` is
-/// empty or the model exposes no nets.
+/// make_model + save/load). Calibration runs eval_batch (the layers' own
+/// forward, which the range observers wrap) over the given samples, then
+/// every quantizable layer is replaced in place. Throws
+/// std::invalid_argument if `calibration` is empty or the model exposes
+/// no nets.
 std::unique_ptr<QuantizedModel> quantize_model(
     DrivingModel& src, const ModelConfig& cfg,
     const std::vector<Sample>& calibration,

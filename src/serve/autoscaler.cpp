@@ -51,15 +51,9 @@ void AutoScalerOptions::check(ConfigIssues& out) const {
   }
 }
 
-void AutoScalerOptions::validate() const {
-  ConfigIssues issues;
-  check(issues);
-  if (!issues.empty()) throw issues.front();
-}
-
 AutoScaler::AutoScaler(util::EventQueue& queue, AutoScalerOptions options)
     : queue_(queue), options_(options) {
-  options_.validate();
+  require_valid(options_);
 }
 
 void AutoScaler::start(double horizon_s) {

@@ -16,15 +16,9 @@ void BatcherConfig::check(ConfigIssues& out) const {
   }
 }
 
-void BatcherConfig::validate() const {
-  ConfigIssues issues;
-  check(issues);
-  if (!issues.empty()) throw issues.front();
-}
-
 DynamicBatcher::DynamicBatcher(BatcherConfig config)
     : config_(config) {
-  config_.validate();
+  require_valid(config_);
 }
 
 void DynamicBatcher::push(ServeRequest request) {

@@ -24,8 +24,6 @@ struct BatcherConfig {
 
   /// Appends every violation (prefix "batcher.") without throwing.
   void check(ConfigIssues& out) const;
-  /// Throw-on-first shim over check().
-  void validate() const;
 };
 
 class DynamicBatcher {

@@ -9,12 +9,6 @@
 // carrying its dotted field() path ("autoscaler.cooldown_s",
 // "batcher.max_batch", ...). One pass over a config reports all the
 // typos, not just the first.
-//
-// Migration: the per-struct validate() methods still exist and still
-// throw the FIRST violation as a plain ConfigError — they are shims over
-// the same check() collectors, so code written against the old surface
-// compiles and behaves unchanged. New code should build a ServeConfig,
-// call validate() once, and hand .fleet / .canary to the constructors.
 #pragma once
 
 #include "serve/autoscaler.hpp"

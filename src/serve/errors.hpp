@@ -2,17 +2,17 @@
 //
 // Every serve-side options struct (FleetOptions, BatcherConfig,
 // HealthOptions, CanaryOptions, ShardRouterConfig, AutoScalerOptions)
-// rejects degenerate values with a ConfigError naming the offending
-// field, so callers can react programmatically instead of
-// string-matching a generic what(). ConfigError derives from
-// std::invalid_argument, so pre-existing catch sites keep working
-// unchanged.
+// appends its violations to a ConfigIssues list through check(), each a
+// ConfigError naming the offending field, so callers can react
+// programmatically instead of string-matching a generic what().
+// ConfigError derives from std::invalid_argument, so pre-existing catch
+// sites keep working unchanged.
 //
-// The aggregate ServeConfig::validate() collects EVERY violation before
+// Constructors throw the first violation through require_valid(). The
+// aggregate ServeConfig::validate() collects EVERY violation before
 // throwing, as a ConfigErrorList whose errors() each carry their own
 // field() path — one pass over a config file reports all the typos, not
-// just the first. Per-struct validate() keeps the old throw-on-first
-// contract as a shim over the same check() collectors.
+// just the first.
 #pragma once
 
 #include <stdexcept>
@@ -64,8 +64,16 @@ class ConfigErrorList : public std::invalid_argument {
   std::vector<ConfigError> errors_;
 };
 
-/// Collector the per-struct check() methods append into; validate()
-/// shims throw the first entry to preserve the original behavior.
+/// Collector the per-struct check() methods append into.
 using ConfigIssues = std::vector<ConfigError>;
+
+/// Throws the first violation `options.check()` finds as a ConfigError;
+/// no-op on valid options.
+template <class Options>
+void require_valid(const Options& options) {
+  ConfigIssues issues;
+  options.check(issues);
+  if (!issues.empty()) throw issues.front();
+}
 
 }  // namespace autolearn::serve

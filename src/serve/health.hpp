@@ -41,8 +41,6 @@ struct HealthOptions {
 
   /// Appends every violation (prefix "health.") without throwing.
   void check(ConfigIssues& out) const;
-  /// Throw-on-first shim over check().
-  void validate() const;
 };
 
 class HealthMonitor {

@@ -4,74 +4,13 @@
 #include <stdexcept>
 #include <utility>
 
-#include "ml/plan.hpp"
-
 namespace autolearn::serve {
-
-void ModelRegistry::set_plan_batch(std::size_t max_batch) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    plan_batch_ = max_batch;
-  }
-  // Compile the already-published model too: enabling plans after
-  // warm_start must not leave the fleet on the interpreted path until the
-  // next retrain.
-  const auto snap = current();
-  if (snap) compile_model(*snap->model, "set_plan_batch");
-}
-
-std::size_t ModelRegistry::plan_batch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return plan_batch_;
-}
-
-void ModelRegistry::compile_model(ml::DrivingModel& model,
-                                  const char* reason) {
-  std::size_t cap = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cap = plan_batch_;
-  }
-  if (cap == 0) return;
-  // attach_plan is idempotent for a matching cap; skip the observability
-  // emit when nothing was actually compiled (e.g. republishing a shared
-  // model into several replicas).
-  ml::CompiledModel* before = model.plan();
-  if (before != nullptr && before->max_batch() == cap) return;
-  if (!model.attach_plan(cap)) return;  // model type has no compiled path
-  ml::CompiledModel* plan = model.plan();
-  if (plan == nullptr) return;
-  const ml::PlanStats stats = plan->stats();
-  if (metrics_) {
-    plan->instrument(metrics_);
-    metrics_->counter("serve.plan.compiles").inc();
-    metrics_->gauge("serve.plan.steps")
-        .set(static_cast<double>(stats.steps));
-    metrics_->gauge("serve.plan.arena_floats")
-        .set(static_cast<double>(stats.arena_floats));
-    metrics_->gauge("serve.plan.fused_activations")
-        .set(static_cast<double>(stats.fused_activations));
-  }
-  if (tracer_) {
-    util::Json args = util::Json::object();
-    args.set("model", util::Json(std::string(model.type_name())));
-    args.set("max_batch", util::Json(cap));
-    args.set("steps", util::Json(stats.steps));
-    args.set("arena_floats", util::Json(stats.arena_floats));
-    args.set("naive_floats", util::Json(stats.naive_floats));
-    args.set("fused", util::Json(stats.fused_activations));
-    args.set("reason", util::Json(std::string(reason)));
-    if (!label_.empty()) args.set("registry", util::Json(label_));
-    tracer_->instant("plan.compile", "serve", std::move(args));
-  }
-}
 
 std::uint64_t ModelRegistry::publish(std::shared_ptr<ml::DrivingModel> model,
                                      std::string tag) {
   if (!model) {
     throw std::invalid_argument("ModelRegistry::publish: null model");
   }
-  compile_model(*model, "publish");
   auto snap = std::make_shared<ModelSnapshot>();
   snap->model = std::move(model);
   snap->tag = std::move(tag);
@@ -97,10 +36,6 @@ void ModelRegistry::adopt(std::shared_ptr<const ModelSnapshot> snapshot) {
   if (!snapshot || !snapshot->model) {
     throw std::invalid_argument("ModelRegistry::adopt: null snapshot");
   }
-  // Level the plan too: the donor normally compiled it already (attach is
-  // an idempotent no-op then), but an adopter with plans enabled must not
-  // serve an interpreted model.
-  compile_model(*snapshot->model, "adopt");
   {
     std::lock_guard<std::mutex> lock(mu_);
     snapshot_ = snapshot;

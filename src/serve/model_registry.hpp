@@ -47,28 +47,15 @@ class ModelRegistry {
   const std::string& label() const { return label_; }
 
   /// Atomically replaces the current model; returns the new version.
-  /// When a plan batch is set (set_plan_batch), the model is compiled for
-  /// that batch cap before the snapshot is installed, so serving never
-  /// observes a published-but-uncompiled model.
   std::uint64_t publish(std::shared_ptr<ml::DrivingModel> model,
                         std::string tag = "");
-
-  /// Enables graph compilation: every model published from now on (and the
-  /// currently published one, if any) gets a CompiledModel plan attached
-  /// for batches up to `max_batch`, so steady-state predict_batch runs the
-  /// arena-planned zero-allocation path. `max_batch == 0` disables
-  /// compilation for future publishes (existing plans stay attached).
-  void set_plan_batch(std::size_t max_batch);
-
-  /// Plan batch cap compiled into published models; 0 when disabled.
-  std::size_t plan_batch() const;
 
   /// Installs an existing snapshot (shared with another replica) without
   /// minting a new version: the registry's current() becomes `snapshot`
   /// and the next publish() continues from snapshot->version + 1. The
   /// replication tier uses this to bring a scaled-in replica level with
-  /// the incumbents — same model object, same version, plan already
-  /// attached — before the new shard admits traffic.
+  /// the incumbents — same model object, same version — before the new
+  /// shard admits traffic.
   void adopt(std::shared_ptr<const ModelSnapshot> snapshot);
 
   /// Latest published snapshot; nullptr before the first publish.
@@ -96,14 +83,8 @@ class ModelRegistry {
                                           const std::string& key);
 
  private:
-  /// Attaches a plan to `model` when plan_batch_ is set; emits the
-  /// "plan.compile" instant + serve.plan.* gauges when a compile actually
-  /// ran (attach_plan is an idempotent no-op for an already-matching cap).
-  void compile_model(ml::DrivingModel& model, const char* reason);
-
   mutable std::mutex mu_;
   std::shared_ptr<const ModelSnapshot> snapshot_;
-  std::size_t plan_batch_ = 0;
   std::uint64_t next_version_ = 1;
   std::string label_;
   obs::Tracer* tracer_ = nullptr;

@@ -24,12 +24,6 @@ void CanaryOptions::check(ConfigIssues& out) const {
   }
 }
 
-void CanaryOptions::validate() const {
-  ConfigIssues issues;
-  check(issues);
-  if (!issues.empty()) throw issues.front();
-}
-
 ReplicatedRegistry::ReplicatedRegistry(std::size_t shards) {
   if (shards == 0) {
     throw ConfigError("replication.shards", "must be >= 1");
@@ -61,7 +55,6 @@ std::size_t ReplicatedRegistry::add_replica() {
   ModelRegistry& replica = *replicas_.back();
   replica.set_label("shard-" + std::to_string(index));
   replica.instrument(tracer_, metrics_);
-  if (plan_batch_ > 0) replica.set_plan_batch(plan_batch_);
   level_replica(index);
   return index;
 }
@@ -88,11 +81,6 @@ void ReplicatedRegistry::instrument(obs::Tracer* tracer,
   for (auto& r : replicas_) r->instrument(tracer, metrics);
 }
 
-void ReplicatedRegistry::set_plan_batch(std::size_t max_batch) {
-  plan_batch_ = max_batch;
-  for (auto& r : replicas_) r->set_plan_batch(max_batch);
-}
-
 std::uint64_t ReplicatedRegistry::publish_all(
     std::shared_ptr<ml::DrivingModel> model, std::string tag) {
   std::uint64_t version = 0;
@@ -115,7 +103,7 @@ std::shared_ptr<const CanaryOutcome> ReplicatedRegistry::publish_canary(
     std::shared_ptr<ml::DrivingModel> model, std::string tag,
     const CanaryOptions& options, std::vector<ml::Sample> probes,
     util::EventQueue* queue) {
-  options.validate();
+  require_valid(options);
   if (!model) {
     throw std::invalid_argument("publish_canary: null model");
   }

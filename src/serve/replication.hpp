@@ -49,8 +49,6 @@ struct CanaryOptions {
 
   /// Appends every violation (prefix "canary.") without throwing.
   void check(ConfigIssues& out) const;
-  /// Throw-on-first shim over check().
-  void validate() const;
 };
 
 struct CanaryOutcome {
@@ -73,8 +71,8 @@ class ReplicatedRegistry {
   const ModelRegistry& shard(std::size_t index) const;
 
   /// Appends one replica for a scaled-in shard and brings it level with
-  /// the incumbents before it sees traffic: sinks wired, the fleet's plan
-  /// batch applied, and replica 0's current snapshot adopted (same model
+  /// the incumbents before it sees traffic: sinks wired and replica 0's
+  /// current snapshot adopted (same model
   /// object, same version — publish_all stays convergent). Returns the
   /// new replica's index. Scale-down never removes replicas; a retired
   /// shard's replica idles and is re-leveled by the next grow.
@@ -88,11 +86,6 @@ class ReplicatedRegistry {
   /// Wires sinks into every replica; replica i's publish instants carry
   /// the label "shard-i".
   void instrument(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
-
-  /// Forwards set_plan_batch to every replica. publish_all shares ONE
-  /// model across replicas, so the first replica compiles it and the rest
-  /// see a matching plan already attached (idempotent no-op).
-  void set_plan_batch(std::size_t max_batch);
 
   /// Publishes to every replica (bootstrap / ungated hot-swap). Returns
   /// the version the replicas agreed on; throws std::logic_error if the
@@ -119,7 +112,6 @@ class ReplicatedRegistry {
   std::vector<std::unique_ptr<ModelRegistry>> replicas_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
-  std::size_t plan_batch_ = 0;  // last set_plan_batch, for new replicas
   std::size_t promotions_ = 0;
   std::size_t rollbacks_ = 0;
 };

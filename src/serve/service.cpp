@@ -55,7 +55,7 @@ void FleetOptions::check(ConfigIssues& out) const {
       break;
     }
   }
-  // Full load-spike sweep at validate() time: a NaN window or a
+  // Full load-spike sweep at construction time: a NaN window or a
   // non-positive factor used to sail through here and only blow up when
   // run() scheduled the spike / set_load_factor rejected it mid-run.
   // Paths are indexed so a config with several spikes names the culprit.
@@ -91,16 +91,10 @@ void FleetOptions::check(ConfigIssues& out) const {
   autoscaler.check(out);
 }
 
-void FleetOptions::validate() const {
-  ConfigIssues issues;
-  check(issues);
-  if (!issues.empty()) throw issues.front();
-}
-
 FleetService::FleetService(util::EventQueue& queue, ModelRegistry& registry,
                            FleetOptions options)
     : queue_(queue), options_(std::move(options)) {
-  options_.validate();
+  require_valid(options_);
   base_registry_ = &registry;
   // Unreplicated mode: every shard reads the same registry.
   init(std::vector<ModelRegistry*>(options_.shards, &registry));
@@ -109,7 +103,7 @@ FleetService::FleetService(util::EventQueue& queue, ModelRegistry& registry,
 FleetService::FleetService(util::EventQueue& queue,
                            ReplicatedRegistry& registry, FleetOptions options)
     : queue_(queue), options_(std::move(options)) {
-  options_.validate();
+  require_valid(options_);
   if (registry.shards() < options_.shards) {
     throw ConfigError("fleet.shards",
                       "replicated registry has " +
@@ -158,19 +152,6 @@ void FleetService::init(std::vector<ModelRegistry*> registries) {
     wire_breaker(s);
   }
   active_shards_ = options_.shards;
-
-  if (options_.compile_plans) {
-    // Unreplicated mode aliases one registry across every shard — enable
-    // plans once per distinct registry. Models published later compile at
-    // publish() time; an already-published model compiles right here.
-    if (replicated_) {
-      // Covers idle replicas too, so a scale-up past options_.shards
-      // serves a compiled model from its first batch.
-      replicated_->set_plan_batch(options_.batcher.max_batch);
-    } else {
-      base_registry_->set_plan_batch(options_.batcher.max_batch);
-    }
-  }
 
   obs::Tracer* tracer = options_.continuum.tracer;
   obs::MetricsRegistry* metrics = options_.continuum.metrics;

@@ -14,12 +14,6 @@ void ShardRouterConfig::check(ConfigIssues& out) const {
   }
 }
 
-void ShardRouterConfig::validate() const {
-  ConfigIssues issues;
-  check(issues);
-  if (!issues.empty()) throw issues.front();
-}
-
 std::uint64_t hash_mix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -46,7 +40,7 @@ std::vector<ShardRouter::Point> ShardRouter::points_for(
 }
 
 ShardRouter::ShardRouter(ShardRouterConfig config) : config_(config) {
-  config_.validate();
+  require_valid(config_);
   ring_.reserve(config_.shards * config_.replicas);
   for (std::size_t s = 0; s < config_.shards; ++s) {
     const std::vector<Point> points = points_for(config_, s);

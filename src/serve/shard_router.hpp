@@ -39,8 +39,6 @@ struct ShardRouterConfig {
 
   /// Appends every violation (prefix "router.") without throwing.
   void check(ConfigIssues& out) const;
-  /// Throw-on-first shim over check().
-  void validate() const;
 };
 
 /// Deterministic 64-bit mix (SplitMix64 finalizer). Exposed because the

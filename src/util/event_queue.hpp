@@ -29,15 +29,10 @@ class EventQueue {
   SimTime now() const { return now_; }
 
   /// Schedules cb at absolute virtual time t (must be >= now()).
-  /// Returns an id usable with cancel().
-  std::uint64_t schedule_at(SimTime t, Callback cb);
+  void schedule_at(SimTime t, Callback cb);
 
   /// Schedules cb `delay` seconds from now.
-  std::uint64_t schedule_in(SimTime delay, Callback cb);
-
-  /// Cancels a pending event. Returns false if it already ran, was
-  /// cancelled, or never existed.
-  bool cancel(std::uint64_t id);
+  void schedule_in(SimTime delay, Callback cb);
 
   /// Runs events until the queue drains or `limit` events fired.
   /// Returns the number of events processed.
@@ -49,8 +44,8 @@ class EventQueue {
   /// Pops and runs exactly one event if present; returns whether one ran.
   bool step();
 
-  bool empty() const;
-  std::size_t pending() const;
+  bool empty() const { return events_.empty(); }
+  std::size_t pending() const { return events_.size(); }
 
   /// Time of the earliest pending event; only valid when !empty().
   SimTime next_time() const;
@@ -59,7 +54,6 @@ class EventQueue {
   struct Event {
     SimTime time;
     std::uint64_t seq;  // tie-breaker for determinism
-    std::uint64_t id;
     Callback cb;
   };
   struct Later {
@@ -72,11 +66,6 @@ class EventQueue {
   std::priority_queue<Event, std::vector<Event>, Later> events_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
-  std::vector<std::uint64_t> cancelled_;  // ids to skip (lazy deletion)
-  std::size_t live_ = 0;                  // non-cancelled events in queue
-
-  bool is_cancelled(std::uint64_t id) const;
 };
 
 }  // namespace autolearn::util

@@ -1,10 +1,10 @@
 // Zero-allocation guarantee for the compiled forward path. This binary —
 // and only this binary — links tests/alloc_hooks.cpp, whose operator
-// new/delete overrides tick util::allocation_count(). After a warm-up
-// batch, a compiled predict_batch must perform ZERO heap allocations;
-// the interpreted path on the same model allocates per batch (that
-// contrast is asserted too, so the hooks are proven live). Selected by
-// `ctest -L plan`.
+// new/delete overrides tick util::allocation_count(). Once warm-up
+// batches have grown the plan to its cap, predict_batch must perform ZERO
+// heap allocations; Sequential::forward on the same net allocates per
+// batch (that contrast is asserted too, so the hooks are proven live).
+// Selected by `ctest -L plan`.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -64,21 +64,28 @@ TEST_P(PlanZeroAlloc, SteadyStatePredictBatchIsAllocationFree) {
 
   ModelConfig cfg;
   const auto model = make_model(GetParam(), cfg);
+  const std::vector<Sequential*> nets = model->mutable_nets();
   const auto samples = make_samples(cfg, kMaxBatch, 17);
   std::vector<Prediction> out(kMaxBatch);
 
-  // Interpreted baseline allocates (tensors per layer) — proves the hooks
-  // are live before we assert a zero.
-  {
-    util::AllocCounterScope interp;
-    model->predict_batch(samples.data(), kMaxBatch, out.data());
-    EXPECT_GT(interp.delta(), 0u) << "alloc hooks not linked?";
-  }
-
-  ASSERT_TRUE(model->attach_plan(kMaxBatch));
-  // Warm-up: first run may fault in lazily-initialized kernel state.
+  // Warm-up: grow the plan to the cap (the first batch compiles it) and
+  // fault in lazily-initialized kernel state.
+  model->predict_batch(samples.data(), 1, out.data());
   model->predict_batch(samples.data(), kMaxBatch, out.data());
   model->predict_batch(samples.data(), 3, out.data());
+  ASSERT_EQ(model->plan()->max_batch(), kMaxBatch);
+
+  // Sequential::forward allocates (tensors per layer) — proves the hooks
+  // are live before we assert a zero.
+  {
+    const CompiledNet& net = model->plan()->net(0);
+    std::vector<std::size_t> shape{1};
+    shape.insert(shape.end(), net.in_shape().begin(), net.in_shape().end());
+    const Tensor x(shape);
+    util::AllocCounterScope interp;
+    nets[0]->forward(x, /*train=*/false);
+    EXPECT_GT(interp.delta(), 0u) << "alloc hooks not linked?";
+  }
 
   util::AllocCounterScope scope;
   model->predict_batch(samples.data(), kMaxBatch, out.data());
@@ -99,8 +106,7 @@ TEST_P(PlanZeroAlloc, Int8SteadyStateIsAllocationFree) {
   const auto samples = make_samples(cfg, kMaxBatch, 17);
   std::vector<Prediction> out(kMaxBatch);
 
-  ASSERT_TRUE(model->attach_plan(kMaxBatch));
-  model->predict_batch(samples.data(), kMaxBatch, out.data());  // warm-up
+  model->predict_batch(samples.data(), kMaxBatch, out.data());  // compile
 
   util::AllocCounterScope scope;
   model->predict_batch(samples.data(), kMaxBatch, out.data());

@@ -1,14 +1,20 @@
-// Plan-vs-interpreted oracle for the graph-compiled forward path: for
-// every model in the six-type zoo, fp32 AND int8, the compiled arena
-// program must reproduce the interpreted per-layer forward BITWISE at
-// batch 1, at a ragged tail size, and at the full batch cap. Plus the
-// typed compile-failure contract (PlanError, never a crash) and the
-// arena-sharing accounting. Selected by `ctest -L plan`.
+// Oracle for the compiled forward path every zoo prediction runs through.
+// Sequential::forward(train=false) is the reference: for every net of all
+// six zoo models, fp32 AND int8, the compiled arena program must reproduce
+// it BITWISE at one row, at a ragged row count, and at the cap. Around
+// that: the plan's compile-on-use / grow / drop rules, predict ==
+// predict_batch across grow boundaries, Adam updates reaching the plan,
+// frame-size checks on every entry point, the typed compile-failure
+// contract (PlanError, never a crash) and the arena-sharing accounting.
+// Selected by `ctest -L plan`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "camera/image.hpp"
@@ -48,22 +54,56 @@ std::vector<Sample> make_samples(const ModelConfig& cfg, std::size_t n,
   return out;
 }
 
-/// Interpreted reference first (no plan attached), then the compiled path
-/// on the same model: outputs must agree bit for bit.
-void expect_plan_matches_interpreted(DrivingModel& model,
-                                     const std::vector<Sample>& samples,
-                                     std::size_t n) {
-  ASSERT_LE(n, samples.size());
-  model.detach_plan();
-  std::vector<Prediction> ref(n);
-  model.predict_batch(samples.data(), n, ref.data());
-  ASSERT_TRUE(model.attach_plan(kMaxBatch));
-  ASSERT_NE(model.plan(), nullptr);
-  std::vector<Prediction> got(n);
-  model.predict_batch(samples.data(), n, got.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(ref[i].steering, got[i].steering) << "row " << i << " n=" << n;
-    EXPECT_EQ(ref[i].throttle, got[i].throttle) << "row " << i << " n=" << n;
+void expect_same_predictions(const std::vector<Prediction>& ref,
+                             const std::vector<Prediction>& got) {
+  ASSERT_EQ(ref.size(), got.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_EQ(ref[i].steering, got[i].steering) << "row " << i;
+    EXPECT_EQ(ref[i].throttle, got[i].throttle) << "row " << i;
+  }
+}
+
+std::vector<Prediction> predict_all(DrivingModel& model,
+                                    const std::vector<Sample>& samples,
+                                    std::size_t n) {
+  std::vector<Prediction> out(n);
+  model.predict_batch(samples.data(), n, out.data());
+  return out;
+}
+
+/// Compiles `model`'s plan at kMaxBatch through predict_batch, then runs
+/// every CompiledNet against Sequential::forward(train=false) of the net
+/// it was compiled from (`nets`, taken before compiling), on random inputs
+/// at one row, a ragged row count and the net's row cap.
+void expect_plan_matches_forward(DrivingModel& model,
+                                 const std::vector<Sequential*>& nets,
+                                 const std::vector<Sample>& samples) {
+  predict_all(model, samples, kMaxBatch);
+  CompiledModel* plan = model.plan();
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->max_batch(), kMaxBatch);
+  ASSERT_EQ(plan->num_nets(), nets.size());
+  util::Rng rng(23);
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    CompiledNet& net = plan->net(i);
+    const std::size_t cap = net.max_rows();
+    for (const std::size_t rows : {std::size_t{1}, cap - 3, cap}) {
+      std::vector<std::size_t> shape{rows};
+      shape.insert(shape.end(), net.in_shape().begin(), net.in_shape().end());
+      Tensor x(shape);
+      for (std::size_t k = 0; k < x.size(); ++k) {
+        x[k] = static_cast<float>(rng.uniform(-1.0, 1.0));
+      }
+      const Tensor ref = nets[i]->forward(x, /*train=*/false);
+      std::copy(x.data(), x.data() + x.size(), net.input());
+      const float* got = net.run(rows);
+      ASSERT_EQ(ref.size(), rows * net.out_row_elems());
+      for (std::size_t k = 0; k < ref.size(); ++k) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(ref[k]),
+                  std::bit_cast<std::uint32_t>(got[k]))
+            << "net " << i << " rows " << rows << " elem " << k;
+      }
+    }
   }
 }
 
@@ -72,10 +112,8 @@ class PlanOracle : public ::testing::TestWithParam<ModelType> {};
 TEST_P(PlanOracle, Fp32BitwiseAtAllBatchSizes) {
   ModelConfig cfg;
   const auto model = make_model(GetParam(), cfg);
-  const auto samples = make_samples(cfg, kMaxBatch, 17);
-  expect_plan_matches_interpreted(*model, samples, 1);
-  expect_plan_matches_interpreted(*model, samples, 5);  // ragged tail
-  expect_plan_matches_interpreted(*model, samples, kMaxBatch);
+  const std::vector<Sequential*> nets = model->mutable_nets();
+  expect_plan_matches_forward(*model, nets, make_samples(cfg, kMaxBatch, 17));
 }
 
 TEST_P(PlanOracle, Int8BitwiseAtAllBatchSizes) {
@@ -84,60 +122,59 @@ TEST_P(PlanOracle, Int8BitwiseAtAllBatchSizes) {
   const auto calibration = make_samples(cfg, 4, 29);
   const auto model = quantize_model(*fp32, cfg, calibration);
   ASSERT_EQ(model->precision(), Precision::Int8);
-  const auto samples = make_samples(cfg, kMaxBatch, 17);
-  expect_plan_matches_interpreted(*model, samples, 1);
-  expect_plan_matches_interpreted(*model, samples, 5);
-  expect_plan_matches_interpreted(*model, samples, kMaxBatch);
+  const std::vector<Sequential*> nets = model->inner().mutable_nets();
+  expect_plan_matches_forward(*model, nets, make_samples(cfg, kMaxBatch, 17));
 }
 
 TEST_P(PlanOracle, RepeatedRunsAreDeterministic) {
   ModelConfig cfg;
   const auto model = make_model(GetParam(), cfg);
-  ASSERT_TRUE(model->attach_plan(kMaxBatch));
   const auto samples = make_samples(cfg, kMaxBatch, 41);
-  std::vector<Prediction> first(kMaxBatch), second(kMaxBatch);
-  model->predict_batch(samples.data(), kMaxBatch, first.data());
-  model->predict_batch(samples.data(), kMaxBatch, second.data());
-  for (std::size_t i = 0; i < kMaxBatch; ++i) {
-    EXPECT_EQ(first[i].steering, second[i].steering) << "row " << i;
-    EXPECT_EQ(first[i].throttle, second[i].throttle) << "row " << i;
-  }
+  const auto first = predict_all(*model, samples, kMaxBatch);
+  const auto second = predict_all(*model, samples, kMaxBatch);
+  expect_same_predictions(first, second);
 }
 
-TEST_P(PlanOracle, OverCapBatchFallsBackToInterpreted) {
+TEST_P(PlanOracle, PredictBatchMatchesPredictAcrossGrowBoundaries) {
+  // Batch sizes chosen to grow the plan 1 -> 8 -> 16 -> 64 and to run
+  // within a cap (8 after 5, which compiled at 8): each batch's rows must
+  // equal the row-of-one predictions, whatever cap served them.
   ModelConfig cfg;
   const auto model = make_model(GetParam(), cfg);
-  const std::size_t n = kMaxBatch + 3;
-  const auto samples = make_samples(cfg, n, 53);
-  std::vector<Prediction> ref(n);
-  model->predict_batch(samples.data(), n, ref.data());
-  ASSERT_TRUE(model->attach_plan(kMaxBatch));
-  std::vector<Prediction> got(n);
-  model->predict_batch(samples.data(), n, got.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(ref[i].steering, got[i].steering) << "row " << i;
-    EXPECT_EQ(ref[i].throttle, got[i].throttle) << "row " << i;
+  const auto samples = make_samples(cfg, 33, 53);
+  std::vector<Prediction> single;
+  for (const Sample& s : samples) single.push_back(model->predict(s));
+  ASSERT_EQ(model->plan()->max_batch(), 1u);
+  for (const std::size_t n : {1, 5, 8, 9, 33}) {
+    const auto got = predict_all(*model, samples, n);
+    EXPECT_EQ(model->plan()->max_batch(), std::bit_ceil(n)) << "n=" << n;
+    expect_same_predictions(
+        std::vector<Prediction>(single.begin(), single.begin() + n), got);
   }
 }
 
 TEST_P(PlanOracle, AttachIsIdempotentForMatchingCap) {
+  // The plan a batch compiles stays attached for every batch within its
+  // cap (smaller ones included); only a larger batch recompiles, at the
+  // next power of two.
   ModelConfig cfg;
   const auto model = make_model(GetParam(), cfg);
-  ASSERT_TRUE(model->attach_plan(kMaxBatch));
-  CompiledModel* first = model->plan();
-  ASSERT_NE(first, nullptr);
-  ASSERT_TRUE(model->attach_plan(kMaxBatch));
-  EXPECT_EQ(model->plan(), first);  // no recompile, same plan object
-  // A different cap DOES recompile.
-  ASSERT_TRUE(model->attach_plan(kMaxBatch * 2));
+  const auto samples = make_samples(cfg, 2 * kMaxBatch, 47);
+  predict_all(*model, samples, kMaxBatch);
   ASSERT_NE(model->plan(), nullptr);
-  EXPECT_EQ(model->plan()->max_batch(), kMaxBatch * 2);
+  EXPECT_EQ(model->plan()->max_batch(), kMaxBatch);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3}, kMaxBatch}) {
+    predict_all(*model, samples, n);
+    EXPECT_EQ(model->plan()->max_batch(), kMaxBatch) << "n=" << n;
+  }
+  predict_all(*model, samples, kMaxBatch + 1);
+  EXPECT_EQ(model->plan()->max_batch(), 2 * kMaxBatch);
 }
 
 TEST_P(PlanOracle, ArenaSharingBeatsNaiveSum) {
   ModelConfig cfg;
   const auto model = make_model(GetParam(), cfg);
-  ASSERT_TRUE(model->attach_plan(kMaxBatch));
+  predict_all(*model, make_samples(cfg, kMaxBatch, 43), kMaxBatch);
   const PlanStats stats = model->plan()->stats();
   EXPECT_GT(stats.steps, 0u);
   EXPECT_GT(stats.arena_floats, 0u);
@@ -150,25 +187,63 @@ TEST_P(PlanOracle, SaveLoadReattachKeepsBitwiseIdentity) {
   ModelConfig cfg;
   const auto model = make_model(GetParam(), cfg);
   const auto samples = make_samples(cfg, kMaxBatch, 61);
-  // Capture interpreted reference AFTER a save/load round-trip on a twin:
-  // the plan holds raw parameter pointers, so load() must recompile.
   std::ostringstream saved;
   model->save(saved);
-  ASSERT_TRUE(model->attach_plan(kMaxBatch));
+  predict_all(*model, samples, kMaxBatch);
+  // The plan holds raw parameter pointers, so load() drops it and the
+  // next prediction compiles a fresh one.
   std::istringstream restore(saved.str());
-  model->load(restore);  // must reattach the plan against the new params
-  ASSERT_NE(model->plan(), nullptr);
-  EXPECT_EQ(model->plan()->max_batch(), kMaxBatch);
+  model->load(restore);
+  EXPECT_EQ(model->plan()->max_batch(), 1u);
   const auto twin = make_model(GetParam(), cfg);
   std::istringstream restore2(saved.str());
   twin->load(restore2);
-  std::vector<Prediction> ref(kMaxBatch), got(kMaxBatch);
-  twin->predict_batch(samples.data(), kMaxBatch, ref.data());
-  model->predict_batch(samples.data(), kMaxBatch, got.data());
-  for (std::size_t i = 0; i < kMaxBatch; ++i) {
-    EXPECT_EQ(ref[i].steering, got[i].steering) << "row " << i;
-    EXPECT_EQ(ref[i].throttle, got[i].throttle) << "row " << i;
+  expect_same_predictions(predict_all(*twin, samples, kMaxBatch),
+                          predict_all(*model, samples, kMaxBatch));
+}
+
+TEST_P(PlanOracle, TrainBatchUpdatesReachThePlan) {
+  // Adam writes the parameters in place, so a plan compiled before a
+  // training step must predict exactly what a freshly compiled twin of
+  // the trained model does.
+  ModelConfig cfg;
+  const auto model = make_model(GetParam(), cfg);
+  const auto samples = make_samples(cfg, kMaxBatch, 67);
+  std::ostringstream initial;
+  model->save(initial);
+  predict_all(*model, samples, kMaxBatch);
+  std::vector<const Sample*> batch;
+  for (const Sample& s : samples) batch.push_back(&s);
+  model->train_batch(batch);
+  const auto after = predict_all(*model, samples, kMaxBatch);
+
+  std::ostringstream trained;
+  model->save(trained);
+  ASSERT_NE(initial.str(), trained.str()) << "training step moved nothing";
+  const auto twin = make_model(GetParam(), cfg);
+  std::istringstream restore(trained.str());
+  twin->load(restore);
+  expect_same_predictions(predict_all(*twin, samples, kMaxBatch), after);
+}
+
+TEST_P(PlanOracle, MisSizedFrameThrowsFromEveryEntryPoint) {
+  // A camera at 40x30 feeding a model built for 32x24 must be rejected
+  // before its pixels are copied, on the inference and training paths
+  // alike: copied unchecked, the larger frame overruns the staging
+  // buffer. The oldest frame the model reads is the mis-sized one.
+  ModelConfig cfg;
+  const auto model = make_model(GetParam(), cfg);
+  auto samples = make_samples(cfg, 2, 71);
+  for (Sample& s : samples) {
+    s.frames[s.frames.size() - model->seq_len()] = camera::Image(40, 30);
   }
+  std::vector<const Sample*> batch{&samples[0], &samples[1]};
+  std::vector<Prediction> out(2);
+  EXPECT_THROW(model->predict(samples[0]), std::invalid_argument);
+  EXPECT_THROW(model->predict_batch(samples.data(), 2, out.data()),
+               std::invalid_argument);
+  EXPECT_THROW(model->train_batch(batch), std::invalid_argument);
+  EXPECT_THROW(model->eval_batch(batch), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllZooModels, PlanOracle,

@@ -1,16 +1,20 @@
-// Serving-tier integration of the compiled forward path: registries
-// compile models at publish time (and retroactively on set_plan_batch),
-// replication forwards the plan cap to every replica without recompiling
-// a shared model, and an end-to-end FleetService run is report-identical
-// with plans on and off — compilation is a pure performance change.
-// Selected by `ctest -L plan` (and -L serve).
+// Serving-tier integration of the compiled forward path: a FleetService
+// run through the zoo model (which predicts only through its plan) is
+// report-identical to the same run through an interpreted reference that
+// decodes Sequential::forward(train=false) itself — compilation is a pure
+// performance change — and serving compiles the published model on its
+// own, sized to the batches it actually ran. Selected by `ctest -L plan`
+// (and -L serve).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <memory>
 
 #include "ml/driving_model.hpp"
+#include "ml/loss.hpp"
 #include "ml/plan.hpp"
-#include "obs/metrics.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/replication.hpp"
 #include "serve/service.hpp"
@@ -26,66 +30,74 @@ std::shared_ptr<ml::DrivingModel> make_shared_model(
   return std::shared_ptr<ml::DrivingModel>(ml::make_model(type, cfg));
 }
 
-TEST(RegistryPlan, PublishCompilesWhenPlanBatchIsSet) {
-  ModelRegistry reg;
-  reg.set_plan_batch(8);
-  EXPECT_EQ(reg.plan_batch(), 8u);
-  auto model = make_shared_model();
-  EXPECT_EQ(model->plan(), nullptr);
-  reg.publish(model, "bootstrap");
-  ASSERT_NE(model->plan(), nullptr);
-  EXPECT_EQ(model->plan()->max_batch(), 8u);
-}
+/// A Linear or Categorical zoo model served without its plan: every call
+/// forwards to the wrapped model except predict_batch, which stages the
+/// frames into a tensor, runs Sequential::forward(train=false) on the
+/// model's net and decodes the output as the zoo model does.
+class InterpretedReference final : public ml::DrivingModel {
+ public:
+  explicit InterpretedReference(ml::ModelType type)
+      : inner_(ml::make_model(type, cfg_)), net_(*inner_->mutable_nets()[0]) {}
 
-TEST(RegistryPlan, SetPlanBatchCompilesTheAlreadyPublishedModel) {
-  ModelRegistry reg;
-  auto model = make_shared_model();
-  reg.publish(model, "bootstrap");
-  EXPECT_EQ(model->plan(), nullptr);  // plans disabled at publish time
-  reg.set_plan_batch(16);
-  ASSERT_NE(model->plan(), nullptr);
-  EXPECT_EQ(model->plan()->max_batch(), 16u);
-}
-
-TEST(RegistryPlan, ZeroCapDisablesCompilationForFuturePublishes) {
-  ModelRegistry reg;
-  reg.set_plan_batch(8);
-  reg.set_plan_batch(0);
-  auto model = make_shared_model();
-  reg.publish(model, "bootstrap");
-  EXPECT_EQ(model->plan(), nullptr);
-}
-
-TEST(RegistryPlan, CompileIsObservedOncePerActualCompile) {
-  obs::MetricsRegistry metrics;
-  ModelRegistry reg;
-  reg.instrument(nullptr, &metrics);
-  reg.set_plan_batch(8);
-  auto model = make_shared_model();
-  reg.publish(model, "bootstrap");
-  EXPECT_EQ(metrics.counter("serve.plan.compiles").value(), 1u);
-  // Republishing the same (already compiled, matching cap) model must not
-  // emit a second compile event.
-  reg.publish(model, "republish");
-  EXPECT_EQ(metrics.counter("serve.plan.compiles").value(), 1u);
-}
-
-TEST(ReplicatedRegistryPlan, ForwardsCapAndSharedModelCompilesOnce) {
-  obs::MetricsRegistry metrics;
-  ReplicatedRegistry reg(3);
-  reg.instrument(nullptr, &metrics);
-  reg.set_plan_batch(8);
-  for (std::size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(reg.shard(s).plan_batch(), 8u);
+  ml::ModelType type() const override { return inner_->type(); }
+  ml::Prediction predict(const ml::Sample& obs) override {
+    ml::Prediction p;
+    predict_batch(&obs, 1, &p);
+    return p;
   }
-  auto model = make_shared_model();
-  reg.publish_all(model, "bootstrap");
-  ASSERT_NE(model->plan(), nullptr);
-  EXPECT_EQ(model->plan()->max_batch(), 8u);
-  // publish_all lands ONE shared model on all replicas: the first replica
-  // compiles, the other two see a matching plan and skip.
-  EXPECT_EQ(metrics.counter("serve.plan.compiles").value(), 1u);
-}
+  void predict_batch(const ml::Sample* obs, std::size_t n,
+                     ml::Prediction* out) override {
+    const std::size_t frame = cfg_.img_h * cfg_.img_w;
+    ml::Tensor x({n, 1, cfg_.img_h, cfg_.img_w});
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& px = obs[i].frames.back().pixels();
+      std::copy(px.begin(), px.end(), x.data() + i * frame);
+    }
+    const ml::Tensor y = net_.forward(x, /*train=*/false);
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = type() == ml::ModelType::Linear ? regression(y, i)
+                                               : categorical(y, i);
+    }
+  }
+  double train_batch(const std::vector<const ml::Sample*>& batch) override {
+    return inner_->train_batch(batch);
+  }
+  double eval_batch(const std::vector<const ml::Sample*>& batch) override {
+    return inner_->eval_batch(batch);
+  }
+  std::size_t num_parameters() override { return inner_->num_parameters(); }
+  std::uint64_t flops_per_sample() const override {
+    return inner_->flops_per_sample();
+  }
+  void save(std::ostream& os) override { inner_->save(os); }
+  void load(std::istream& is) override { inner_->load(is); }
+
+ private:
+  static ml::Prediction regression(const ml::Tensor& y, std::size_t i) {
+    return {std::clamp<double>(y.at(i, 0), -1, 1),
+            std::clamp<double>(y.at(i, 1), 0, 1)};
+  }
+  ml::Prediction categorical(const ml::Tensor& y, std::size_t i) const {
+    const std::size_t sb = argmax(ml::softmax_row(y, i, 0, cfg_.steering_bins));
+    const std::size_t tb = argmax(ml::softmax_row(
+        y, i, cfg_.steering_bins, cfg_.steering_bins + cfg_.throttle_bins));
+    return {unbin(sb, -1, 1, cfg_.steering_bins),
+            unbin(tb, 0, 1, cfg_.throttle_bins)};
+  }
+  static std::size_t argmax(const std::vector<float>& p) {
+    return static_cast<std::size_t>(std::max_element(p.begin(), p.end()) -
+                                    p.begin());
+  }
+  static double unbin(std::size_t bin, double lo, double hi,
+                      std::size_t bins) {
+    return lo + (hi - lo) * static_cast<double>(bin) /
+                    static_cast<double>(bins - 1);
+  }
+
+  ml::ModelConfig cfg_;
+  std::unique_ptr<ml::DrivingModel> inner_;
+  ml::Sequential& net_;
+};
 
 FleetOptions small_fleet() {
   FleetOptions opt;
@@ -99,52 +111,62 @@ FleetOptions small_fleet() {
   return opt;
 }
 
-ServeReport run_fleet(ml::ModelType type, bool compile_plans,
+ServeReport run_fleet(std::shared_ptr<ml::DrivingModel> model,
                       std::size_t shards = 1) {
   util::EventQueue queue;
   FleetOptions opt = small_fleet();
-  opt.compile_plans = compile_plans;
   opt.shards = shards;
   if (shards > 1) {
     ReplicatedRegistry reg(shards);
-    reg.publish_all(make_shared_model(type), "bootstrap");
+    reg.publish_all(std::move(model), "bootstrap");
     FleetService service(queue, reg, opt);
     return service.run();
   }
   ModelRegistry reg;
-  reg.publish(make_shared_model(type), "bootstrap");
+  reg.publish(std::move(model), "bootstrap");
   FleetService service(queue, reg, opt);
   return service.run();
 }
 
 TEST(FleetServicePlan, ReportIsIdenticalWithPlansOnAndOff) {
-  // The whole point of the bitwise contract: turning compilation on must
-  // change nothing about WHAT the fleet computes, only how fast.
+  // The whole point of the bitwise contract: serving through the plan
+  // must change nothing about WHAT the fleet computes, only how fast.
   for (ml::ModelType type :
        {ml::ModelType::Linear, ml::ModelType::Categorical}) {
-    const ServeReport off = run_fleet(type, false);
-    const ServeReport on = run_fleet(type, true);
+    const ServeReport off =
+        run_fleet(std::make_shared<InterpretedReference>(type));
+    const ServeReport on = run_fleet(make_shared_model(type));
+    EXPECT_GT(on.completed, 0u);
     EXPECT_EQ(off.to_json().dump(), on.to_json().dump())
         << "model " << ml::to_string(type);
   }
 }
 
 TEST(FleetServicePlan, ShardedReportIsIdenticalWithPlansOnAndOff) {
-  const ServeReport off = run_fleet(ml::ModelType::Linear, false, 2);
-  const ServeReport on = run_fleet(ml::ModelType::Linear, true, 2);
+  const ServeReport off = run_fleet(
+      std::make_shared<InterpretedReference>(ml::ModelType::Linear), 2);
+  const ServeReport on = run_fleet(make_shared_model(ml::ModelType::Linear), 2);
   EXPECT_EQ(off.to_json().dump(), on.to_json().dump());
 }
 
 TEST(FleetServicePlan, DefaultOptionsCompileThePublishedModel) {
+  // No serving knob: the published model compiles on its first batch and
+  // grows to the largest batch the fleet dispatched, never past the
+  // batcher cap's power of two.
   util::EventQueue queue;
   FleetOptions opt = small_fleet();
-  EXPECT_TRUE(opt.compile_plans);  // on by default
   ModelRegistry reg;
   auto model = make_shared_model();
   reg.publish(model, "bootstrap");
   FleetService service(queue, reg, opt);
+  const ServeReport r = service.run();
+  ASSERT_FALSE(r.batch_sizes.empty());
+  const std::size_t largest =
+      *std::max_element(r.batch_sizes.begin(), r.batch_sizes.end());
   ASSERT_NE(model->plan(), nullptr);
-  EXPECT_EQ(model->plan()->max_batch(), opt.batcher.max_batch);
+  EXPECT_EQ(model->plan()->max_batch(), std::bit_ceil(largest));
+  EXPECT_LE(model->plan()->max_batch(),
+            std::bit_ceil(opt.batcher.max_batch));
 }
 
 }  // namespace

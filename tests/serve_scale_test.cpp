@@ -248,15 +248,18 @@ TEST(ServeConfigTest, LoadSpikesAreValidatedUpFrontWithIndexedPaths) {
 TEST(ServeConfigTest, PerStructValidateStillThrowsFirstAsConfigError) {
   AutoScalerOptions opt;
   opt.cooldown_s = -1.0;
+  opt.step = 0;
   try {
-    opt.validate();
+    require_valid(opt);
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
-    EXPECT_EQ(e.field(), "autoscaler.cooldown_s");
+    EXPECT_EQ(e.field(), "autoscaler.cooldown_s");  // first of two
   }
   BatcherConfig b;
   b.max_batch = 0;
-  EXPECT_THROW(b.validate(), ConfigError);
+  EXPECT_THROW(require_valid(b), ConfigError);
+  EXPECT_THROW(DynamicBatcher{b}, ConfigError);
+  EXPECT_NO_THROW(require_valid(BatcherConfig{}));
 }
 
 // --- AutoScaler control loop (stubbed sampler/resizer) ----------------------

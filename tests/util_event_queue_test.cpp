@@ -72,29 +72,6 @@ TEST(EventQueue, RunUntilAdvancesClockWithoutEvents) {
   EXPECT_EQ(q.now(), 7.5);
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  const auto id = q.schedule_at(1.0, [&] { ran = true; });
-  EXPECT_TRUE(q.cancel(id));
-  q.run();
-  EXPECT_FALSE(ran);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, CancelUnknownIdReturnsFalse) {
-  EventQueue q;
-  EXPECT_FALSE(q.cancel(9999));
-  EXPECT_FALSE(q.cancel(0));
-}
-
-TEST(EventQueue, DoubleCancelReturnsFalse) {
-  EventQueue q;
-  const auto id = q.schedule_at(1.0, [] {});
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));
-}
-
 TEST(EventQueue, StepRunsExactlyOne) {
   EventQueue q;
   int count = 0;
@@ -143,17 +120,6 @@ TEST(EventQueue, NextTimeReportsEarliest) {
 TEST(EventQueue, NextTimeOnEmptyThrows) {
   EventQueue q;
   EXPECT_THROW(q.next_time(), std::logic_error);
-}
-
-TEST(EventQueue, CancelledEventSkippedInRunUntil) {
-  EventQueue q;
-  bool a = false, b = false;
-  const auto id = q.schedule_at(1.0, [&] { a = true; });
-  q.schedule_at(2.0, [&] { b = true; });
-  q.cancel(id);
-  q.run_until(3.0);
-  EXPECT_FALSE(a);
-  EXPECT_TRUE(b);
 }
 
 // Property: any random schedule executes in nondecreasing time order.
