@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include "camera/camera.hpp"
 #include "camera/image.hpp"
@@ -182,15 +184,17 @@ TEST(Camera, CustomResolutionRespected) {
 
 // Property sweep: for every preset track and several poses, the rendered
 // frame carries usable lane signal — some tape pixels, sky on top when the
-// pitch allows, and determinism under the sim profile.
+// pitch allows, and determinism under the sim profile. The track name is a
+// std::string, not a const char*: gtest prints a char pointer's address into
+// the test name, which would make the name differ from build to build.
 class CameraTrackSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(CameraTrackSweep, FrameCarriesLaneSignal) {
   const auto [name, frac] = GetParam();
-  const track::Track t = std::string(name) == "paper-oval"
+  const track::Track t = name == "paper-oval"
                              ? track::Track::paper_oval()
-                             : std::string(name) == "waveshare"
+                             : name == "waveshare"
                                    ? track::Track::waveshare()
                                    : track::Track::square_loop();
   Camera cam(CameraConfig{}, util::Rng(9));
@@ -216,7 +220,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("paper-oval", "waveshare",
                                          "square-loop"),
                        ::testing::Values(0.05, 0.3, 0.62, 0.9)),
-    [](const ::testing::TestParamInfo<std::tuple<const char*, double>>& i) {
+    [](const ::testing::TestParamInfo<std::tuple<std::string, double>>& i) {
       std::string name = std::get<0>(i.param);
       for (auto& c : name) {
         if (c == '-') c = '_';
