@@ -11,7 +11,11 @@
 // printed with the report.
 //
 //   $ ./chaos_study [seed]
-#include <cstdlib>
+//
+// The seed is an unsigned decimal integer; anything else is a usage error
+// (exit 2) rather than a silent seed 0.
+#include <charconv>
+#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <vector>
@@ -39,8 +43,16 @@ int main(int argc, char** argv) {
   using namespace autolearn;
   namespace fs = std::filesystem;
 
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  std::uint64_t seed = 42;
+  if (argc > 1) {
+    const char* end = argv[1] + std::strlen(argv[1]);
+    const auto [ptr, ec] = std::from_chars(argv[1], end, seed);
+    if (argc > 2 || ec != std::errc{} || ptr != end) {
+      std::cerr << "usage: chaos_study [seed]"
+                   "  (seed: an unsigned decimal integer)\n";
+      return 2;
+    }
+  }
   const track::Track track = track::Track::paper_oval();
 
   auto train_model = [&](ml::ModelType type, std::size_t epochs,

@@ -1,10 +1,12 @@
 #include "serve/replication.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "ml/plan.hpp"
 #include "serve/errors.hpp"
 
 namespace autolearn::serve {
@@ -154,10 +156,22 @@ void ReplicatedRegistry::decide(std::shared_ptr<ml::DrivingModel> model,
                                 std::shared_ptr<ModelSnapshot const> incumbent,
                                 std::shared_ptr<CanaryOutcome> outcome) {
   const std::size_t n = probes.size();
-  std::vector<ml::Prediction> cand(n);
-  std::vector<ml::Prediction> base(n);
-  model->predict_batch(probes.data(), n, cand.data());
-  incumbent->model->predict_batch(probes.data(), n, base.data());
+  // Each model scores the probes in slices no larger than its compiled
+  // batch cap: plans never shrink, so one all-probes batch would leave the
+  // served incumbent holding a probe-sized arena for the rest of the run.
+  // Rows are independent, so slicing changes no prediction.
+  const auto score = [&](ml::DrivingModel& m) {
+    std::vector<ml::Prediction> out(n);
+    const ml::CompiledModel* plan = m.plan();
+    const std::size_t slice = plan ? plan->max_batch() : n;
+    for (std::size_t i = 0; i < n; i += slice) {
+      m.predict_batch(probes.data() + i, std::min(slice, n - i),
+                      out.data() + i);
+    }
+    return out;
+  };
+  const std::vector<ml::Prediction> cand = score(*model);
+  const std::vector<ml::Prediction> base = score(*incumbent->model);
 
   double drift = 0.0;
   std::size_t errors = 0;

@@ -12,7 +12,9 @@
 //      queue; immediate when bake_s == 0 or no queue is given) the gate
 //      runs the candidate AND the incumbent over the probe set and
 //      compares them: mean |steering| drift and the rate of non-finite /
-//      out-of-actuator-range commands;
+//      out-of-actuator-range commands. Each model scores the probes in
+//      slices no larger than its compiled batch cap, so the gate never
+//      grows a served model's plan;
 //   3. gate pass -> the candidate is promoted to the remaining shards
 //      ("promoted:<tag>"); gate fail -> the slice is rolled back to the
 //      incumbent model ("rollback:<tag>") and the rest of the fleet never

@@ -9,6 +9,13 @@
 
 namespace autolearn::track {
 
+namespace {
+// Relative slack of the chunk test in project(). It dwarfs the few ulps of
+// rounding in each distance, and at track scale it is well under a
+// nanometre, so it costs no pruning.
+constexpr double kSlack = 1e-9;
+}  // namespace
+
 Track::Track(std::string name, std::vector<PathSample> centerline,
              double width)
     : name_(std::move(name)), samples_(std::move(centerline)), width_(width) {
@@ -18,7 +25,22 @@ Track::Track(std::string name, std::vector<PathSample> centerline,
   if (width_ <= 0) throw std::invalid_argument("Track: width must be > 0");
   length_ = samples_.back().s;
   if (length_ <= 0) throw std::invalid_argument("Track: zero length");
-  build_grid();
+  chunks_.reserve((samples_.size() + kChunk - 1) / kChunk);
+  for (std::size_t b = 0; b < samples_.size(); b += kChunk) {
+    const std::size_t e = std::min(b + kChunk, samples_.size());
+    Vec2 lo = samples_[b].pos, hi = lo;
+    for (std::size_t k = b + 1; k < e; ++k) {
+      const Vec2& q = samples_[k].pos;
+      lo = {std::min(lo.x, q.x), std::min(lo.y, q.y)};
+      hi = {std::max(hi.x, q.x), std::max(hi.y, q.y)};
+    }
+    const Vec2 center = (lo + hi) * 0.5;
+    double r2 = 0;
+    for (std::size_t k = b; k < e; ++k) {
+      r2 = std::max(r2, (samples_[k].pos - center).norm2());
+    }
+    chunks_.push_back({center, std::sqrt(r2)});
+  }
 }
 
 double Track::wrap_s(double s) const {
@@ -68,78 +90,44 @@ Vec2 Track::right_boundary_at(double s) const {
   return position_at(s) - heading_vec(heading_at(s)).perp() * half_width();
 }
 
-void Track::build_grid() {
-  double min_x = std::numeric_limits<double>::max(), min_y = min_x;
-  double max_x = -min_x, max_y = -min_x;
-  for (const auto& smp : samples_) {
-    min_x = std::min(min_x, smp.pos.x);
-    min_y = std::min(min_y, smp.pos.y);
-    max_x = std::max(max_x, smp.pos.x);
-    max_y = std::max(max_y, smp.pos.y);
-  }
-  // Pad by a couple of lane widths so near-track queries land in the grid.
-  const double pad = 2 * width_ + 1.0;
-  grid_.min_x = min_x - pad;
-  grid_.min_y = min_y - pad;
-  grid_.nx = static_cast<std::size_t>((max_x - min_x + 2 * pad) / grid_.cell) + 1;
-  grid_.ny = static_cast<std::size_t>((max_y - min_y + 2 * pad) / grid_.cell) + 1;
-  grid_.cells.assign(grid_.nx * grid_.ny, {});
-  for (std::uint32_t k = 0; k < samples_.size(); ++k) {
-    const auto cx = static_cast<std::size_t>(
-        (samples_[k].pos.x - grid_.min_x) / grid_.cell);
-    const auto cy = static_cast<std::size_t>(
-        (samples_[k].pos.y - grid_.min_y) / grid_.cell);
-    grid_.cells[cy * grid_.nx + cx].push_back(k);
-  }
-}
-
 Projection Track::project(const Vec2& p) const {
-  // Search the spatial grid ring-by-ring until a candidate is found, then
-  // one extra ring to guarantee the true nearest sample is not missed.
-  double best_d2 = std::numeric_limits<double>::max();
+  double best_d2 = std::numeric_limits<double>::infinity();
   std::size_t best = 0;
-  const double fx = (p.x - grid_.min_x) / grid_.cell;
-  const double fy = (p.y - grid_.min_y) / grid_.cell;
-  const long cx = static_cast<long>(std::floor(fx));
-  const long cy = static_cast<long>(std::floor(fy));
-  const long max_ring =
-      static_cast<long>(std::max(grid_.nx, grid_.ny)) + 1;
-  bool found = false;
-  long settle_rings = -1;
-  for (long ring = 0; ring <= max_ring; ++ring) {
-    if (found) {
-      if (settle_rings < 0) settle_rings = ring + 1;
-      if (ring > settle_rings) break;
-    }
-    for (long dy = -ring; dy <= ring; ++dy) {
-      for (long dx = -ring; dx <= ring; ++dx) {
-        if (std::max(std::abs(dx), std::abs(dy)) != ring) continue;
-        const long gx = cx + dx, gy = cy + dy;
-        if (gx < 0 || gy < 0 || gx >= static_cast<long>(grid_.nx) ||
-            gy >= static_cast<long>(grid_.ny)) {
-          continue;
-        }
-        for (std::uint32_t k :
-             grid_.cells[static_cast<std::size_t>(gy) * grid_.nx +
-                         static_cast<std::size_t>(gx)]) {
-          const double d2 = (samples_[k].pos - p).norm2();
-          if (d2 < best_d2) {
-            best_d2 = d2;
-            best = k;
-            found = true;
-          }
-        }
-      }
-    }
-  }
-  if (!found) {
-    // Point far outside the padded grid: fall back to a linear scan.
-    for (std::size_t k = 0; k < samples_.size(); ++k) {
+  const auto scan = [&](std::size_t c) {
+    const std::size_t e = std::min((c + 1) * kChunk, samples_.size());
+    for (std::size_t k = c * kChunk; k < e; ++k) {
       const double d2 = (samples_[k].pos - p).norm2();
-      if (d2 < best_d2) {
+      // Ties go to the lowest index, as in a brute-force scan.
+      if (d2 < best_d2 || (d2 == best_d2 && k < best)) {
         best_d2 = d2;
         best = k;
       }
+    }
+  };
+  // The chunk with the nearest centre first makes best_d2 tight at once.
+  std::size_t first = 0;
+  double first_d2 = (p - chunks_[0].center).norm2();
+  for (std::size_t c = 1; c < chunks_.size(); ++c) {
+    const double d2 = (p - chunks_[c].center).norm2();
+    if (d2 < first_d2) {
+      first_d2 = d2;
+      first = c;
+    }
+  }
+  scan(first);
+  // Then, in index order, every chunk that could hold a sample as near as
+  // best_d2. By the triangle inequality no sample of a chunk is nearer to
+  // p than |p - center| - radius, so a chunk can be skipped only when
+  // |p - center| > radius + sqrt(best_d2); the test compares the squares.
+  // The kSlack factor covers the rounding of every term, so a chunk that
+  // holds a sample with d2 <= best_d2 is never skipped.
+  double reach = std::sqrt(best_d2);
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    const double limit = chunks_[c].radius + reach;
+    if (c != first &&
+        (p - chunks_[c].center).norm2() <= limit * limit * (1 + kSlack)) {
+      scan(c);
+      reach = std::sqrt(best_d2);
     }
   }
 

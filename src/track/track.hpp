@@ -52,8 +52,10 @@ class Track {
   Vec2 left_boundary_at(double s) const;
   Vec2 right_boundary_at(double s) const;
 
-  /// Nearest-centerline projection of a world point. Exact within the
-  /// sampling resolution (~2 cm for the presets).
+  /// Nearest-centerline projection of a world point, refined along the
+  /// nearest sample's tangent (sampling resolution ~1 cm for the presets).
+  /// The nearest sample is found exactly, for any finite point: it is the
+  /// one a brute-force scan would pick, ties going to the lowest index.
   Projection project(const Vec2& p) const;
 
   /// Signed forward progress from s_prev to s_now, unwrapping the lap
@@ -89,15 +91,14 @@ class Track {
   std::vector<PathSample> samples_;
   double width_;
   double length_;
-  // Spatial grid for project(): cell -> sample indices, keyed on
-  // floor(x/cell), floor(y/cell).
-  struct Grid {
-    double cell = 0.5;
-    double min_x = 0, min_y = 0;
-    std::size_t nx = 0, ny = 0;
-    std::vector<std::vector<std::uint32_t>> cells;
-  } grid_;
-  void build_grid();
+  // project() prunes with a bounding circle per run of kChunk consecutive
+  // samples: chunk c covers samples [c * kChunk, (c + 1) * kChunk).
+  static constexpr std::size_t kChunk = 32;
+  struct Chunk {
+    Vec2 center;
+    double radius;  // largest distance from center to a member
+  };
+  std::vector<Chunk> chunks_;
 };
 
 }  // namespace autolearn::track

@@ -1,5 +1,6 @@
 #include "util/event_queue.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace autolearn::util {
@@ -8,7 +9,8 @@ void EventQueue::schedule_at(SimTime t, Callback cb) {
   if (t < now_) {
     throw std::invalid_argument("EventQueue: cannot schedule in the past");
   }
-  events_.push(Event{t, next_seq_++, std::move(cb)});
+  events_.push_back(Event{t, next_seq_++, std::move(cb)});
+  std::push_heap(events_.begin(), events_.end(), Later{});
 }
 
 void EventQueue::schedule_in(SimTime delay, Callback cb) {
@@ -17,8 +19,9 @@ void EventQueue::schedule_in(SimTime delay, Callback cb) {
 
 bool EventQueue::step() {
   if (events_.empty()) return false;
-  Event ev = events_.top();
-  events_.pop();
+  std::pop_heap(events_.begin(), events_.end(), Later{});
+  Event ev = std::move(events_.back());
+  events_.pop_back();
   now_ = ev.time;
   ev.cb();
   return true;
@@ -32,7 +35,7 @@ std::size_t EventQueue::run(std::size_t limit) {
 
 std::size_t EventQueue::run_until(SimTime t) {
   std::size_t n = 0;
-  while (!events_.empty() && events_.top().time <= t) {
+  while (!events_.empty() && events_.front().time <= t) {
     step();
     ++n;
   }
@@ -42,7 +45,7 @@ std::size_t EventQueue::run_until(SimTime t) {
 
 SimTime EventQueue::next_time() const {
   if (events_.empty()) throw std::logic_error("EventQueue: empty");
-  return events_.top().time;
+  return events_.front().time;
 }
 
 }  // namespace autolearn::util

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace autolearn::util {
@@ -63,7 +62,9 @@ class EventQueue {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> events_;
+  // A binary heap under Later, kept with std::push_heap/pop_heap so that
+  // step() can move the earliest event (and its callback) out uncopied.
+  std::vector<Event> events_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
 };

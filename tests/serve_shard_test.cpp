@@ -14,6 +14,7 @@
 
 #include "fault/chaos.hpp"
 #include "net/network.hpp"
+#include "ml/plan.hpp"
 #include "obs/metrics.hpp"
 #include "serve/errors.hpp"
 #include "serve/service.hpp"
@@ -365,6 +366,44 @@ TEST(Canary, CorruptedCandidateRollsBackAndNeverReachesTheFleet) {
   }
   EXPECT_EQ(reg.shard(0).current()->model.get(), good.get());
   EXPECT_GT(reg.shard(0).version(), outcome->canary_version);
+}
+
+TEST(Canary, GateKeepsTheIncumbentPlanCapAndMatchesUnslicedScoring) {
+  const std::vector<ml::Sample> probes = make_probes(24);
+  CanaryOptions opt;
+  opt.canary_shards = 1;
+  // Sliced: the incumbent has served batches of 8 (cap 8), the candidate
+  // has never run. Unsliced: twins of both already compiled at cap 32, so
+  // each scores all 24 probes in one batch.
+  std::vector<ml::Prediction> out(24);
+  const auto served = make_shared_model(42);
+  served->predict_batch(probes.data(), 8, out.data());
+  ASSERT_EQ(served->plan()->max_batch(), 8u);
+  const auto candidate = make_shared_model(7);
+  const auto served_twin = make_shared_model(42);
+  const auto candidate_twin = make_shared_model(7);
+  served_twin->predict_batch(probes.data(), 24, out.data());
+  candidate_twin->predict_batch(probes.data(), 24, out.data());
+
+  ReplicatedRegistry sliced_reg(2), unsliced_reg(2);
+  sliced_reg.publish_all(served, "bootstrap");
+  unsliced_reg.publish_all(served_twin, "bootstrap");
+  const auto sliced =
+      sliced_reg.publish_canary(candidate, "retrain", opt, probes);
+  const auto unsliced =
+      unsliced_reg.publish_canary(candidate_twin, "retrain", opt, probes);
+
+  EXPECT_EQ(served->plan()->max_batch(), 8u);
+  EXPECT_EQ(candidate->plan()->max_batch(), 1u);
+  EXPECT_EQ(served_twin->plan()->max_batch(), 32u);
+  ASSERT_TRUE(sliced->decided);
+  EXPECT_GT(sliced->steering_drift, 0.0);
+  EXPECT_EQ(sliced->steering_drift, unsliced->steering_drift);  // bitwise
+  EXPECT_EQ(sliced->error_rate, unsliced->error_rate);
+  EXPECT_EQ(sliced->promoted, unsliced->promoted);
+  EXPECT_EQ(sliced->rolled_back, unsliced->rolled_back);
+  EXPECT_EQ(sliced->canary_version, unsliced->canary_version);
+  EXPECT_EQ(sliced->reason, unsliced->reason);
 }
 
 TEST(Canary, MidRunBakeGatesOnTheVirtualClockAndShieldsOtherShards) {

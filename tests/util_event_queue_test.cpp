@@ -122,6 +122,34 @@ TEST(EventQueue, NextTimeOnEmptyThrows) {
   EXPECT_THROW(q.next_time(), std::logic_error);
 }
 
+// A callback that counts how often it is copied; moves are free.
+struct CopyCounter {
+  int* copies;
+  int* calls;
+  CopyCounter(int* c, int* n) : copies(c), calls(n) {}
+  CopyCounter(const CopyCounter& o) : copies(o.copies), calls(o.calls) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  void operator()() const { ++*calls; }
+};
+
+TEST(EventQueue, StepMovesTheCallbackOutWithoutCopying) {
+  EventQueue q;
+  int copies = 0, calls = 0;
+  // Several pending events, so pops also reshuffle the heap.
+  for (int i = 0; i < 9; ++i) {
+    q.schedule_at(static_cast<double>((i * 5) % 9),
+                  CopyCounter(&copies, &calls));
+  }
+  copies = 0;
+  while (q.step()) {
+    EXPECT_EQ(copies, 0) << "after " << calls << " steps";
+  }
+  EXPECT_EQ(calls, 9);
+  EXPECT_EQ(copies, 0);
+}
+
 // Property: any random schedule executes in nondecreasing time order.
 class EventQueueOrderTest : public ::testing::TestWithParam<int> {};
 
