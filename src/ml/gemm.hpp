@@ -1,7 +1,8 @@
 // The matmul backbone of the ml module: a cache-blocked, register-tiled
 // single-precision GEMM plus the im2col/col2im lowering helpers that turn
 // convolution into matrix multiplication (the standard cuDNN-style
-// lowering, here on CPU).
+// lowering, here on CPU), and conv_fused, the inference convolution that
+// reads its patches straight from the image instead.
 //
 // All matrices are row-major with explicit leading dimensions, so views
 // into larger buffers (e.g. one time-step slice of an [N, T, D] tensor)
@@ -60,6 +61,58 @@ void col2vol(const float* col, std::size_t col_stride, std::size_t c,
              std::size_t d, std::size_t h, std::size_t w, std::size_t kd,
              std::size_t kh, std::size_t kw, std::size_t sd, std::size_t sh,
              std::size_t sw, float* x);
+
+/// The im2col/vol2col index map of one valid convolution over a batch
+/// stored [N, C, D, H, W] (a 2-D conv has D = KD = 1). Patch row
+/// r = ((ic*KD + kz)*KH + ky)*KW + kx of output position
+/// q = (oz*OH + oy)*OW + ox in sample i is the input element
+/// x[i * sample_elems + pos[q] + taps[r]] — exactly what im2col copies
+/// into the patch matrix, so a kernel can read patches without one.
+struct ConvIndexMap {
+  std::vector<std::int32_t> taps;  // one offset per patch row (C*KD*KH*KW)
+  std::vector<std::int32_t> pos;   // one offset per output position (P)
+  std::size_t sample_elems = 0;    // C*D*H*W
+};
+
+/// Builds the map; throws std::invalid_argument when a sample does not fit
+/// 32-bit offsets or the kernel exceeds the input.
+ConvIndexMap conv_index_map(std::size_t c, std::size_t d, std::size_t h,
+                            std::size_t w, std::size_t kd, std::size_t kh,
+                            std::size_t kw, std::size_t sd, std::size_t sh,
+                            std::size_t sw);
+
+/// Floats pack_conv_weights writes for an [oc, ckk] weight matrix.
+std::size_t packed_conv_weights_floats(std::size_t oc, std::size_t ckk);
+/// Repacks row-major W[oc, ckk] into conv_fused's layout: blocks of four
+/// output channels, each ckk groups of four weights (zero-padded past oc).
+void pack_conv_weights(const float* w, std::size_t oc, std::size_t ckk,
+                       float* packed);
+
+/// Kernel body selection for conv_fused. Auto resolves once per process by
+/// the sgemm micro-kernel's rule; the explicit bodies let tests pin each.
+enum class ConvIsa { Auto, Portable, Avx2 };
+bool conv_isa_supported(ConvIsa isa);
+
+/// Fused convolution forward over a batch of n samples, no patch matrix:
+///   y[i, o, q] = act(bias[o] + Σ_r W[o, r] * x[i*sample_elems + pos[q] +
+///   taps[r]])
+/// with act = ReLU when `relu`, y laid out [n, oc, P]. Batch columns
+/// (i, q) are packed NR at a time straight from x through the index map
+/// (a panel may span samples) and run against `packed_w`
+/// (pack_conv_weights) in a register tile whose epilogue adds the bias
+/// and applies max(t, 0).
+///
+/// Bitwise contract: every output equals im2col + sgemm(W, col) + bias
+/// (+ ReLU) — the same multiply-add chain ascending in r from +0, split
+/// into sgemm's KC-deep blocks whose sums are added in order, then the
+/// same bias add and the same compare. Records one GEMM call of
+/// 2*oc*n*P*ckk flops in kernel_counters(). Panel ranges go to the shared
+/// ThreadPool (allocation-free raw dispatch); do not call from inside a
+/// pool task. Throws std::invalid_argument when the batch does not fit
+/// 32-bit offsets or `isa` names an unsupported body.
+void conv_fused(const float* x, std::size_t n, const ConvIndexMap& map,
+                const float* packed_w, std::size_t oc, const float* bias,
+                bool relu, float* y, ConvIsa isa = ConvIsa::Auto);
 
 /// Reusable scratch buffers for the layer hot paths: capacity only grows,
 /// so after the first batch the im2col/GEMM pipeline performs no

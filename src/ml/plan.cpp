@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "ml/conv.hpp"
 #include "ml/gemm.hpp"
@@ -28,14 +29,14 @@ std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 /// Bytes stored in a float-typed slot: round rows up to whole floats.
 std::size_t bytes_as_floats(std::size_t bytes) { return ceil_div(bytes, 4); }
 
-// Contexts for the allocation-free parallel regions. The runners are
-// capture-less lambdas (decay to function pointers) so the hot path never
-// touches std::function.
+// Contexts for the int8 conv's allocation-free parallel regions. The
+// runners are capture-less lambdas (decay to function pointers) so the hot
+// path never touches std::function. The fp32 conv needs neither: it runs
+// as one conv_fused call.
 struct ColCtx {
   const float* x;
   float* col;
   std::size_t c, d, h, w, kd, k, sd, s, p, np, cdhw;
-  bool volumetric;  // vol2col (Conv3D) rather than im2col (Conv2D)
 };
 
 struct BiasScatterCtx {
@@ -46,9 +47,10 @@ struct BiasScatterCtx {
   bool relu;
 };
 
-// Interpreted conv epilogue: dst[q] = src[q] + bias, then (as a separate
-// layer) dst[q] = dst[q] > 0 ? dst[q] : 0. Fused with a local t this is
-// the same float additions and the same compare — bitwise identical.
+// Interpreted int8 conv epilogue: dst[q] = src[q] + bias, then (as a
+// separate layer) dst[q] = dst[q] > 0 ? dst[q] : 0. Fused with a local t
+// this is the same float additions and the same compare — bitwise
+// identical.
 const auto run_bias_scatter = +[](void* pv, std::size_t n0, std::size_t n1) {
   const auto& c = *static_cast<const BiasScatterCtx*>(pv);
   for (std::size_t i = n0; i < n1; ++i) {
@@ -70,20 +72,16 @@ const auto run_bias_scatter = +[](void* pv, std::size_t n0, std::size_t n1) {
 
 const auto run_cols = +[](void* pv, std::size_t n0, std::size_t n1) {
   const auto& c = *static_cast<const ColCtx*>(pv);
+  // A Conv2D is a depth-1 volume: vol2col is im2col there.
   for (std::size_t i = n0; i < n1; ++i) {
-    if (c.volumetric) {
-      vol2col(c.x + i * c.cdhw, c.c, c.d, c.h, c.w, c.kd, c.k, c.k, c.sd, c.s,
-              c.s, c.col + i * c.p, c.np);
-    } else {
-      im2col(c.x + i * c.cdhw, c.c, c.h, c.w, c.k, c.k, c.s, c.s,
-             c.col + i * c.p, c.np);
-    }
+    vol2col(c.x + i * c.cdhw, c.c, c.d, c.h, c.w, c.kd, c.k, c.k, c.sd, c.s,
+            c.s, c.col + i * c.p, c.np);
   }
 };
 
 enum class Op {
-  Conv,       // Conv2D / Conv3D: im2col or vol2col + sgemm + bias scatter
-  QuantConv,  // the int8 twins: the same, quantize + qgemm in between
+  Conv,       // Conv2D / Conv3D: one conv_fused call (no patch matrix)
+  QuantConv,  // the int8 twins: im2col, quantize, qgemm, bias scatter
   Dense,
   Lstm,
   Relu,   // standalone in-place (fused forms never reach here)
@@ -96,7 +94,6 @@ struct Step {
   std::size_t in = kNone, out = kNone;
   std::size_t scr0 = kNone, scr1 = kNone, scr2 = kNone;
   bool fuse_relu = false;
-  bool volumetric = false;  // conv: Conv3D geometry (else depth 1)
 
   // Parameter pointers resolved at compile time. Optimizer steps write
   // through them in place; the owning model drops its plan on any load.
@@ -105,6 +102,7 @@ struct Step {
   const float* bias = nullptr;
   const QuantizedWeights* qw = nullptr;
   const ActQuant* xq = nullptr;
+  ConvIndexMap map;  // fp32 conv: where each patch element sits in x
 
   // Geometry (per-row / per-sample). A 2-D conv is a depth-1 volume.
   std::size_t ic = 0, oc = 0, k = 0, stride = 0, kd = 1, stride_d = 1;
@@ -116,6 +114,7 @@ struct Step {
 
 struct Value {
   std::size_t row_elems = 0;
+  std::size_t plan_elems = 0;  // sized once, not per row (packed weights)
   std::size_t def = 0;       // first step index live
   std::size_t last_use = 0;  // last step index live (inclusive)
   std::size_t offset = 0;    // assigned arena offset (floats)
@@ -136,8 +135,8 @@ struct CompiledNet::Impl {
   PlanStats stats;
 
   std::size_t add_value(std::size_t row_elems, std::size_t def,
-                        std::size_t last_use) {
-    values.push_back(Value{row_elems, def, last_use, 0});
+                        std::size_t last_use, std::size_t plan_elems = 0) {
+    values.push_back(Value{row_elems, plan_elems, def, last_use, 0});
     return values.size() - 1;
   }
 
@@ -189,12 +188,12 @@ void CompiledNet::Impl::compile(Sequential& net,
     };
 
     // One lowering for all four conv flavours: a Conv2D is a depth-1
-    // volume, and the int8 twins add a quantized-column scratch value.
+    // volume. The fp32 convs need only their packed weights as scratch;
+    // the int8 twins keep the patch matrix quantize_activations reads.
     const auto lower_conv = [&](auto& conv, Op op, const char* kind) {
       constexpr bool volumetric = requires { conv.kernel_d(); };
       Step s{};
       s.op = op;
-      s.volumetric = volumetric;
       s.ic = conv.in_channels();
       s.oc = conv.out_channels();
       s.k = conv.kernel();
@@ -233,12 +232,21 @@ void CompiledNet::Impl::compile(Sequential& net,
       s.fuse_relu = fuse_next_relu();
       s.in = cur;
       values[cur].last_use = si;
-      s.scr0 = add_value(s.ckk * s.p, si, si);  // im2col/vol2col patch cols
       if (op == Op::QuantConv) {
+        s.scr0 = add_value(s.ckk * s.p, si, si);  // im2col/vol2col patch cols
         s.scr1 = add_value(bytes_as_floats(s.ckk * s.p), si, si);  // q(col)
         s.scr2 = add_value(s.oc * s.p, si, si);  // batched GEMM out
       } else {
-        s.scr1 = add_value(s.oc * s.p, si, si);  // batched GEMM out
+        // Checked before the index map is built, so that an oversized
+        // sample fails here as a PlanError too.
+        if (elems(shape) > static_cast<std::size_t>(
+                               std::numeric_limits<std::int32_t>::max()) /
+                               max_rows) {
+          throw bad_shape(std::string(kind) + " batch exceeds 32-bit offsets");
+        }
+        s.map = conv_index_map(s.ic, s.d_dim, s.h, s.w_dim, s.kd, s.k, s.k,
+                               s.stride_d, s.stride, s.stride);
+        s.scr0 = add_value(0, si, si, packed_conv_weights_floats(s.oc, s.ckk));
       }
       s.out = cur = add_value(s.oc * s.p, si, si);
       shape = volumetric ? std::vector<std::size_t>{s.oc, od, oh, ow}
@@ -370,7 +378,8 @@ void CompiledNet::Impl::assign_offsets() {
   for (std::size_t vi : order) {
     Value& v = values[vi];
     const std::size_t size =
-        ceil_div(v.row_elems * max_rows, kAlignFloats) * kAlignFloats;
+        ceil_div(v.row_elems * max_rows + v.plan_elems, kAlignFloats) *
+        kAlignFloats;
     naive += size;
     std::vector<Placed> conflicts;
     for (const Placed& p : placed) {
@@ -416,25 +425,25 @@ const float* CompiledNet::Impl::exec(const float* x, std::size_t rows) {
 
   for (const Step& s : steps) {
     switch (s.op) {
-      case Op::Conv:
+      case Op::Conv: {
+        // Repacked every run: optimizer steps write the weights in place.
+        float* packed = at(s.scr0);
+        pack_conv_weights(s.w, s.oc, s.ckk, packed);
+        conv_fused(src_of(s.in), n, s.map, packed, s.oc, s.bias, s.fuse_relu,
+                   at(s.out));
+        break;
+      }
       case Op::QuantConv: {
         const std::size_t np = n * s.p;
         float* col = at(s.scr0);
         ColCtx cc{src_of(s.in), col, s.ic, s.d_dim, s.h, s.w_dim, s.kd, s.k,
                   s.stride_d, s.stride, s.p, np,
-                  s.ic * s.d_dim * s.h * s.w_dim, s.volumetric};
+                  s.ic * s.d_dim * s.h * s.w_dim};
         pool.parallel_for_chunks_raw(0, n, run_cols, &cc);
-        float* yall;
-        if (s.op == Op::QuantConv) {
-          auto* qcol = reinterpret_cast<std::uint8_t*>(at(s.scr1));
-          quantize_activations(col, s.ckk * np, *s.xq, qcol);
-          yall = at(s.scr2);
-          qgemm(*s.qw, qcol, np, *s.xq, yall, np);
-        } else {
-          yall = at(s.scr1);
-          sgemm(false, false, s.oc, np, s.ckk, 1.0f, s.w, s.ckk, col, np,
-                0.0f, yall, np);
-        }
+        auto* qcol = reinterpret_cast<std::uint8_t*>(at(s.scr1));
+        quantize_activations(col, s.ckk * np, *s.xq, qcol);
+        float* yall = at(s.scr2);
+        qgemm(*s.qw, qcol, np, *s.xq, yall, np);
         BiasScatterCtx bc{yall, at(s.out), s.bias, s.oc, s.p, np, s.fuse_relu};
         pool.parallel_for_chunks_raw(0, n, run_bias_scatter, &bc);
         break;

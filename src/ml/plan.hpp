@@ -3,21 +3,23 @@
 // Sequential::forward walks the layers one by one, every layer allocating
 // its output Tensor (and often scratch) per batch; training needs that.
 // Inference runs through CompiledNet, which does the walk ONCE: compile()
-// lowers the layer list into a flat step program (im2col + GEMM + fused
-// bias/ReLU epilogues for the conv stacks, gate GEMMs onto preallocated
-// scratch for the LSTM, packed int8 steps for the quantized twins), runs
-// a liveness analysis over every intermediate buffer, and first-fit
-// assigns them into ONE float arena sized for a fixed batch cap.
+// lowers the layer list into a flat step program (one conv_fused call per
+// conv + ReLU, packing GEMM panels straight from the image; gate GEMMs
+// onto preallocated scratch for the LSTM; packed int8 steps for the
+// quantized twins), runs a liveness analysis over every intermediate
+// buffer, and first-fit assigns them into ONE float arena sized for a
+// fixed batch cap.
 // Steady-state execution then performs zero heap allocations: staging,
 // GEMMs and epilogues all run inside the arena through the ThreadPool's
 // raw (allocation-free) dispatch.
 //
-// Bitwise contract: a compiled step issues the exact kernel call sequence
-// (same sgemm/qgemm shapes, flags and leading dimensions, same epilogue
-// arithmetic, same reduction orders) as the layer's own forward, so
-// outputs are bit-identical to Sequential::forward(train=false) for every
-// batch size up to the cap. ctest -L plan holds this as an oracle across
-// every net of the model zoo, fp32 and int8.
+// Bitwise contract: every output element of a compiled step goes through
+// the same float operations in the same order as in the layer's own
+// forward (same multiply-add chain and KC blocking, same epilogue
+// arithmetic), so outputs are bit-identical to
+// Sequential::forward(train=false) for every batch size up to the cap.
+// ctest -L plan holds this as an oracle across every net of the model
+// zoo, fp32 and int8.
 #pragma once
 
 #include <cstddef>
